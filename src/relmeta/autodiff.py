@@ -199,24 +199,6 @@ def _same_tape(op: str, vars_: tuple) -> Tape:
     return tape
 
 
-def record(op: str, inputs, forward_fn, extra=None) -> Var:
-    """Record a custom node: value = forward_fn([input arrays], extra).
-
-    Differentiation through custom kinds requires a registered VJP builder
-    (see ``register_op``); the built-in kinds cover the toolkit's needs.
-    """
-    inputs = tuple(inputs)
-    tape = _same_tape(op, inputs)
-    arr = forward_fn([v.array for v in inputs], extra)
-    return tape._append(op, tuple(v.index for v in inputs), np.asarray(arr, dtype=np.float64), extra)
-
-
-def register_op(op: str, forward_fn, vjp_builder) -> None:
-    """Register forward/VJP functions for a new op kind."""
-    _FORWARD[op] = forward_fn
-    _VJP[op] = vjp_builder
-
-
 # ---------------------------------------------------------------------------
 # forward implementations (shared by record-time eval and tape replay)
 
@@ -338,35 +320,30 @@ _FORWARD = {
 # ---------------------------------------------------------------------------
 # ops API
 
-def _check_broadcast(op, a, b):
+def _binary(op: str, a: Var, b: Var) -> Var:
+    """Record a broadcasting elementwise op; its value comes from _FORWARD."""
     try:
-        np.broadcast_shapes(a.shape, b.shape)
+        arr = _FORWARD[op]((a.array, b.array), None)
     except ValueError:
         raise ShapeError(f"op '{op}': shapes {a.shape} and {b.shape} do not broadcast") from None
+    tape = _same_tape(op, (a, b))
+    return tape._append(op, (a.index, b.index), arr)
 
 
 def add(a: Var, b: Var) -> Var:
-    _check_broadcast("add", a, b)
-    tape = _same_tape("add", (a, b))
-    return tape._append("add", (a.index, b.index), a.array + b.array)
+    return _binary("add", a, b)
 
 
 def sub(a: Var, b: Var) -> Var:
-    _check_broadcast("sub", a, b)
-    tape = _same_tape("sub", (a, b))
-    return tape._append("sub", (a.index, b.index), a.array - b.array)
+    return _binary("sub", a, b)
 
 
 def mul(a: Var, b: Var) -> Var:
-    _check_broadcast("elementwise-mul", a, b)
-    tape = _same_tape("elementwise-mul", (a, b))
-    return tape._append("elementwise-mul", (a.index, b.index), a.array * b.array)
+    return _binary("elementwise-mul", a, b)
 
 
 def div(a: Var, b: Var) -> Var:
-    _check_broadcast("div", a, b)
-    tape = _same_tape("div", (a, b))
-    return tape._append("div", (a.index, b.index), a.array / b.array)
+    return _binary("div", a, b)
 
 
 def smul(a: Var, c: float) -> Var:

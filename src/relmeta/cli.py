@@ -97,7 +97,10 @@ def _run(args: argparse.Namespace) -> int:
         rows = hz.run_benchmark(spec)
     elif args.command == "sweep-lambda":
         if args.values is not None:
-            grid = tuple(float(v) for v in args.values.split(",") if v.strip())
+            try:
+                grid = tuple(float(v) for v in args.values.split(",") if v.strip())
+            except ValueError as exc:
+                raise hz.ConfigError(f"values: {exc}") from None
         else:
             grid = hz.LAMBDA_GRID
         rows = hz.sweep_lambda(spec, grid)

@@ -50,8 +50,12 @@ RESULT_COLUMNS = (
 
 
 @dataclass
-class ExperimentSpec:
-    """Everything one benchmark needs, flat so it maps 1:1 to config keys."""
+class ExperimentSpec(ml.MetaConfig):
+    """Everything one benchmark needs, flat so it maps 1:1 to config keys.
+
+    The engine settings are the inherited MetaConfig fields; the fields
+    declared here describe the task stream and the run protocol.
+    """
 
     dataset: str = "sinusoid"
     shots: int = 10
@@ -62,30 +66,6 @@ class ExperimentSpec:
     eval_tasks: int = 200
     out: str = "results"
     timing: bool = False
-    alpha: float = 0.05
-    beta: float = 0.1
-    lam: float = 0.6
-    method: str = "maml"
-    second_order: bool = True
-    inner_steps: int = 1
-    batch_tasks: int = 4
-    epochs: int = 20
-    batches_per_epoch: int = 100
-    seed: int = 0
-    trlearner: bool = True
-    sim_heads: int = 4
-    matrix_mode: str = "learned"
-    matrix_grad_to_extractor: bool = True
-    metadata_strategy: str = "uniform"
-    metadata_samples: object = None
-    momentum: float = 0.8
-    weight_decay: float = 0.7e-5
-    optimizer: str = "sgd"
-    hidden: tuple = (40, 40)
-    log_matrix_every: int = 0
-    val_tasks: int = 20
-    eval_inner_steps: object = None
-    freeze_inner_rates: bool = False
 
     def __post_init__(self):
         bad = []
@@ -104,27 +84,17 @@ class ExperimentSpec:
         if bad:
             raise ConfigError("invalid values: " + ", ".join(bad))
         try:
-            self.to_meta_config(self.seed)
+            super().__post_init__()
         except ml.MetaLearnError as exc:
             raise ConfigError(str(exc)) from exc
 
     def to_meta_config(self, seed: int) -> ml.MetaConfig:
-        engine = {f.name for f in fields(ml.MetaConfig)}
-        kw = {f.name: getattr(self, f.name) for f in fields(self) if f.name in engine}
+        kw = {f.name: getattr(self, f.name) for f in fields(ml.MetaConfig)}
         kw["seed"] = int(seed)
         return ml.MetaConfig(**kw)
 
 
-_SPEC_DEFAULTS = None  # populated lazily; ExperimentSpec() validates eagerly
-
-
-def _spec_defaults() -> ExperimentSpec:
-    global _SPEC_DEFAULTS
-    if _SPEC_DEFAULTS is None:
-        _SPEC_DEFAULTS = ExperimentSpec()
-    return _SPEC_DEFAULTS
-
-
+_DEFAULTS = {f.name: f.default for f in fields(ExperimentSpec)}
 _OPTIONAL_INT_KEYS = ("pool_size", "metadata_samples", "eval_inner_steps")
 _BOOL_WORDS = {"true": True, "on": True, "1": True, "yes": True,
                "false": False, "off": False, "0": False, "no": False}
@@ -132,17 +102,17 @@ _BOOL_WORDS = {"true": True, "on": True, "1": True, "yes": True,
 
 def _parse_value(key: str, raw: str):
     raw = raw.strip()
-    if key in _OPTIONAL_INT_KEYS:
-        return None if raw.lower() in ("none", "") else int(raw)
-    if key == "hidden":
-        return tuple(int(part) for part in raw.split(",") if part.strip())
-    kind = type(getattr(_spec_defaults(), key))
+    kind = type(_DEFAULTS[key])
     if kind is bool:
         try:
             return _BOOL_WORDS[raw.lower()]
         except KeyError:
             raise ConfigError(f"{key}: expected true/false, got {raw!r}") from None
     try:
+        if key in _OPTIONAL_INT_KEYS:
+            return None if raw.lower() in ("none", "") else int(raw)
+        if key == "hidden":
+            return tuple(int(part) for part in raw.split(",") if part.strip())
         return kind(raw)
     except ValueError as exc:
         raise ConfigError(f"{key}: {exc}") from None

@@ -65,7 +65,6 @@ class MetaConfig:
     val_tasks: int = 20
     eval_inner_steps: object = None
     freeze_inner_rates: bool = False
-    timing: bool = False
 
     def __post_init__(self):
         bad = []
@@ -105,11 +104,10 @@ class MetaConfig:
 class AdaptedModel:
     """Task-specialized parameters, still connected to the base leaves."""
 
-    __slots__ = ("mv", "task_index", "extractor", "head")
+    __slots__ = ("mv", "extractor", "head")
 
-    def __init__(self, mv: nn.ModelVars, task_index: int, extractor: list, head: list):
+    def __init__(self, mv: nn.ModelVars, extractor: list, head: list):
         self.mv = mv
-        self.task_index = task_index
         self.extractor = extractor
         self.head = head
 
@@ -137,51 +135,45 @@ def _inner_rates(mv: nn.ModelVars, config: MetaConfig, head_only: bool):
     return mv.extractor_rate_params() + mv.head_rate_params()
 
 
-def _adapt(loss_fn, params, rates, steps, config, task_index):
-    cur = list(params)
+def _adapt(mv: nn.ModelVars, head: list, support_x, support_y, config: MetaConfig,
+           steps: int, first_order: bool, label: str) -> AdaptedModel:
+    """`steps` gradient steps from the base extractor and `head` on one support set.
+
+    maml/metasgd adapt extractor and head; anil adapts the head only and
+    reads the extractor frozen.  Unless `first_order`, the returned
+    parameters keep the inner-gradient path alive for the outer backward.
+    `label` names the adaptation in the non-finite-loss error.
+    """
+    tape = mv.tape
+    x = tape.constant(support_x)
+    y = tape.constant(support_y)
+    head_only = config.method == "anil"
+    frozen = mv.extractor_params() if head_only else []
+    cur = list(head) if head_only else mv.extractor_params() + list(head)
+
+    def loss_fn(params):
+        params = frozen + params
+        feats = nn.forward_features_with(mv, params[:-2], x)
+        return task_loss(nn.head_apply(params[-2:], feats), y)
+
+    rates = _inner_rates(mv, config, head_only)
     for _ in range(steps):
         loss = loss_fn(cur)
         if not np.all(np.isfinite(loss.array)):
-            raise MetaLearnError(f"non-finite inner loss for task {task_index}")
+            raise MetaLearnError(f"non-finite inner loss for {label}")
         gs = ad.grad(loss, cur)
         cur = ad.grad_through_update(
             loss_fn, cur, inner_grads=gs, alpha=config.alpha,
-            first_order=not config.second_order, rates=rates,
+            first_order=first_order, rates=rates,
         )
-    return cur
+    adapted = frozen + cur
+    return AdaptedModel(mv, adapted[:-2], adapted[-2:])
 
 
 def inner_adapt(mv: nn.ModelVars, i: int, metadata, config: MetaConfig) -> AdaptedModel:
-    """One (or few) gradient steps on task i's meta-data support set.
-
-    maml/metasgd adapt extractor and head; anil adapts the head only and
-    reads the extractor frozen.  In second-order mode the returned
-    parameters keep the inner-gradient path alive for the outer backward.
-    """
-    tape = mv.tape
-    x = tape.constant(metadata.support_x)
-    y = tape.constant(metadata.support_y)
-    ext = mv.extractor_params()
-    head = mv.head_params(i)
-
-    if config.method == "anil":
-        def loss_fn(params):
-            feats = nn.forward_features_with(mv, ext, x)
-            return task_loss(nn.head_apply(params, feats), y)
-
-        adapted = _adapt(loss_fn, head, _inner_rates(mv, config, head_only=True),
-                         config.inner_steps, config, i)
-        return AdaptedModel(mv, i, ext, adapted)
-
-    n_ext = len(ext)
-
-    def loss_fn(params):
-        feats = nn.forward_features_with(mv, params[:n_ext], x)
-        return task_loss(nn.head_apply(params[n_ext:], feats), y)
-
-    adapted = _adapt(loss_fn, ext + head, _inner_rates(mv, config, head_only=False),
-                     config.inner_steps, config, i)
-    return AdaptedModel(mv, i, adapted[:n_ext], adapted[n_ext:])
+    """`config.inner_steps` gradient steps of head i on task i's meta-data support set."""
+    return _adapt(mv, mv.head_params(i), metadata.support_x, metadata.support_y, config,
+                  config.inner_steps, not config.second_order, f"task {i}")
 
 
 def _scale_rows(weight: ad.Var, rows: ad.Var) -> ad.Var:
@@ -282,26 +274,6 @@ def make_optimizer(model: nn.MetaModel, layer, config: MetaConfig):
     return SGDMomentum(pairs, config.beta, config.momentum, config.weight_decay)
 
 
-def _bound_grad_vars(mv: nn.ModelVars, omega_var, config: MetaConfig):
-    """(name, Var) pairs mirroring trainable_params naming."""
-    pairs = []
-    for li, (w, b) in enumerate(mv.extractor):
-        pairs.append((f"g{li}.w", w))
-        pairs.append((f"g{li}.b", b))
-    for hi, (w, b) in enumerate(mv.heads):
-        pairs.append((f"h{hi}.w", w))
-        pairs.append((f"h{hi}.b", b))
-    if mv.rates is not None:
-        for li, (w, b) in enumerate(mv.rates["extractor"]):
-            pairs.append((f"lr.g{li}.w", w))
-            pairs.append((f"lr.g{li}.b", b))
-        pairs.append(("lr.h.w", mv.rates["head"][0]))
-        pairs.append(("lr.h.b", mv.rates["head"][1]))
-    if omega_var is not None and config.matrix_mode == "learned":
-        pairs.append(("omega", omega_var))
-    return pairs
-
-
 def _record_batch(model: nn.MetaModel, layer, batch: tk.TaskBatch, config: MetaConfig):
     """Phases A-D: record the averaged outer objective for one meta-batch."""
     n = len(batch)
@@ -360,7 +332,9 @@ def outer_step(model: nn.MetaModel, layer, batch: tk.TaskBatch, config: MetaConf
         )
 
     grads = ad.backward(objective)
-    updates = {name: grads[var.index].array for name, var in _bound_grad_vars(mv, omega_var, config)}
+    updates = {name: grads[var.index].array for name, var in mv.named}
+    if config.trlearner and config.matrix_mode == "learned":
+        updates["omega"] = grads[omega_var.index].array
     optimizer.step(updates)
 
     return {
@@ -388,39 +362,12 @@ def adapted_query_mse(model: nn.MetaModel, task: tk.TaskInstance, config: MetaCo
     mv = nn.bind(model, tape)
     d = model.feature_width
     head = [tape.leaf(np.zeros((d, 1))), tape.leaf(np.zeros(1))]
-    ext = mv.extractor_params()
-    x = tape.constant(task.support_x)
-    y = tape.constant(task.support_y)
     steps = config.inner_steps if config.eval_inner_steps is None else config.eval_inner_steps
-
-    if config.method == "anil":
-        def loss_fn(params):
-            feats = nn.forward_features_with(mv, ext, x)
-            return task_loss(nn.head_apply(params, feats), y)
-
-        params, n_ext = head, 0
-    else:
-        def loss_fn(params):
-            feats = nn.forward_features_with(mv, params[:len(ext)], x)
-            return task_loss(nn.head_apply(params[len(ext):], feats), y)
-
-        params, n_ext = ext + head, len(ext)
-
-    rates = _inner_rates(mv, config, head_only=config.method == "anil")
-    cur = list(params)
-    for _ in range(steps):
-        loss = loss_fn(cur)
-        if not np.all(np.isfinite(loss.array)):
-            raise MetaLearnError("non-finite adaptation loss at evaluation")
-        gs = ad.grad(loss, cur)
-        cur = ad.grad_through_update(loss_fn, cur, inner_grads=gs, alpha=config.alpha,
-                                     first_order=True, rates=rates)
-
+    adapted = _adapt(mv, head, task.support_x, task.support_y, config, steps,
+                     True, "an evaluation task")
     qx = tape.constant(task.query_x)
     qy = tape.constant(task.query_y)
-    feats = nn.forward_features_with(mv, cur[:n_ext] if n_ext else ext, qx)
-    pred = nn.head_apply(cur[n_ext:], feats)
-    return float(task_loss(pred, qy).array)
+    return float(task_loss(adapted.predict(qx), qy).array)
 
 
 def summarize(values: list) -> tuple:

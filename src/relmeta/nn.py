@@ -12,8 +12,6 @@ for the head shape, all initialized to the scalar inner rate.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
 from . import autodiff as ad
@@ -22,8 +20,6 @@ from . import autodiff as ad
 class ModelError(Exception):
     pass
 
-
-CHECKPOINT_VERSION = 1
 
 
 class MetaModel:
@@ -110,67 +106,46 @@ class MetaModel:
             yield "lr.h.b", self.inner_rates["head"][1]
 
 
-class ParamSnapshot:
-    """Frozen copy of a model's parameters; restore is bitwise exact."""
-
-    def __init__(self, model: MetaModel):
-        self.model_id = id(model)
-        self.values = {name: arr.copy() for name, arr in model.named_params()}
-
-
-def snapshot(model: MetaModel) -> ParamSnapshot:
-    return ParamSnapshot(model)
-
-
-def restore(model: MetaModel, snap: ParamSnapshot) -> None:
-    if snap.model_id != id(model):
-        raise ModelError("snapshot belongs to a different model")
-    for name, arr in model.named_params():
-        np.copyto(arr, snap.values[name])
-
-
 def init_model(layer_sizes, n_heads: int, seed: int, input_scale: float = 1.0) -> MetaModel:
     return MetaModel(layer_sizes, n_heads, seed, input_scale=input_scale)
 
 
 class ModelVars:
-    """Leaf Vars for one model on one tape; the unit the engine works on."""
+    """Leaf Vars for one model on one tape; the unit the engine works on.
 
-    __slots__ = ("model", "tape", "extractor", "heads", "rates")
+    `named` holds one (name, leaf) pair per `model.named_params()` entry, in
+    that order; `extractor`, `heads` and `rates` are (w, b) views of the
+    same leaves (`rates` is None without inner rates).
+    """
+
+    __slots__ = ("model", "tape", "named", "extractor", "heads", "rates")
 
     def __init__(self, model: MetaModel, tape: ad.Tape):
         self.model = model
         self.tape = tape
-        self.extractor = [(tape.leaf(w), tape.leaf(b)) for w, b in model.extractor]
-        self.heads = [(tape.leaf(w), tape.leaf(b)) for w, b in model.heads]
-        if model.inner_rates is not None:
-            self.rates = {
-                "extractor": [
-                    (tape.leaf(w), tape.leaf(b)) for w, b in model.inner_rates["extractor"]
-                ],
-                "head": (tape.leaf(model.inner_rates["head"][0]), tape.leaf(model.inner_rates["head"][1])),
-            }
-        else:
-            self.rates = None
+        self.named = [(name, tape.leaf(arr)) for name, arr in model.named_params()]
+        leaves = [v for _, v in self.named]
+        pairs = list(zip(leaves[0::2], leaves[1::2]))
+        n_ext, n_heads = len(model.extractor), len(model.heads)
+        self.extractor = pairs[:n_ext]
+        self.heads = pairs[n_ext:n_ext + n_heads]
+        self.rates = pairs[n_ext + n_heads:] or None
 
     def extractor_params(self) -> list:
-        out = []
-        for w, b in self.extractor:
-            out.extend((w, b))
-        return out
+        return [v for pair in self.extractor for v in pair]
 
     def head_params(self, i: int) -> list:
-        w, b = self.heads[i]
-        return [w, b]
+        if not 0 <= i < len(self.heads):
+            raise ModelError(f"head index {i} out of range [0, {len(self.heads)})")
+        return list(self.heads[i])
 
     def extractor_rate_params(self) -> list:
-        out = []
-        for w, b in self.rates["extractor"]:
-            out.extend((w, b))
-        return out
+        """Rates of the extractor parameters, flat in extractor_params() order."""
+        return [v for pair in self.rates[:-1] for v in pair]
 
     def head_rate_params(self) -> list:
-        return [self.rates["head"][0], self.rates["head"][1]]
+        """The one (w, b) rate pair that every head shares."""
+        return list(self.rates[-1])
 
 
 def bind(model: MetaModel, tape: ad.Tape) -> ModelVars:
@@ -207,47 +182,5 @@ def forward_features_with(mv: ModelVars, params: list, x: ad.Var) -> ad.Var:
     return h
 
 
-def forward_head(mv: ModelVars, i: int, features: ad.Var) -> ad.Var:
-    """Affine prediction of head `i` only; other heads never touch the path."""
-    if not 0 <= i < len(mv.heads):
-        raise ModelError(f"head index {i} out of range [0, {len(mv.heads)})")
-    w, b = mv.heads[i]
-    return ad.add(ad.matmul(features, w), b)
-
-
 def head_apply(params: list, features: ad.Var) -> ad.Var:
     return ad.add(ad.matmul(features, params[0]), params[1])
-
-
-def save_checkpoint(model: MetaModel, path) -> None:
-    """Versioned JSON container of shapes + flat arrays; byte-stable."""
-    payload = {
-        "version": CHECKPOINT_VERSION,
-        "layer_sizes": model.layer_sizes,
-        "n_heads": model.n_heads,
-        "seed": model.seed,
-        "input_scale": model.input_scale,
-        "has_inner_rates": model.inner_rates is not None,
-        "params": {
-            name: {"shape": list(arr.shape), "data": arr.reshape(-1).tolist()}
-            for name, arr in model.named_params()
-        },
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
-
-
-def load_checkpoint(path) -> MetaModel:
-    with open(path) as fh:
-        payload = json.load(fh)
-    if payload.get("version") != CHECKPOINT_VERSION:
-        raise ModelError(f"unsupported checkpoint version {payload.get('version')!r}")
-    model = MetaModel(payload["layer_sizes"], payload["n_heads"], payload["seed"],
-                      input_scale=payload.get("input_scale", 1.0))
-    if payload["has_inner_rates"]:
-        model.enable_inner_rates(0.0)
-    for name, arr in model.named_params():
-        entry = payload["params"][name]
-        np.copyto(arr, np.array(entry["data"], dtype=np.float64).reshape(entry["shape"]))
-    return model

@@ -9,7 +9,6 @@ streams so train, validation, and evaluation never overlap.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -256,17 +255,3 @@ def make_task_batch(tasks: list, strategy: str = "uniform", m_samples=None, seed
         for i, t in enumerate(tasks)
     ]
     return TaskBatch(tasks=tasks, metadata=metadata, batch_seed=batch_seed)
-
-
-def dump_tasks(tasks: list, path) -> None:
-    """JSON-lines fixture dump: family, params, and raw points per task."""
-    with open(path, "w") as fh:
-        for t in tasks:
-            rec = {
-                "family": t.family,
-                "params": t.params,
-                "noise_sd": t.noise_sd,
-                "support": [[float(x), float(y)] for x, y in zip(t.support_x[:, 0], t.support_y[:, 0])],
-                "query": [[float(x), float(y)] for x, y in zip(t.query_x[:, 0], t.query_y[:, 0])],
-            }
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")

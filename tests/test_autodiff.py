@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from relmeta import autodiff as ad
 
@@ -73,6 +76,65 @@ class TestPrimitives:
         assert t.shape == (2, 2)
         assert list(t.data) == [1.0, 2.0, 3.0, 4.0]
         assert int(np.prod(t.shape)) == t.data.size
+
+
+BINARY_OPS = {"add": (ad.add, np.add), "sub": (ad.sub, np.subtract),
+              "mul": (ad.mul, np.multiply), "div": (ad.div, np.divide)}
+
+BROADCAST_PAIRS = hnp.mutually_broadcastable_shapes(
+    num_shapes=2, min_dims=0, max_dims=3, max_side=3).map(lambda s: s.input_shapes)
+ANY_SHAPE = hnp.array_shapes(min_dims=0, max_dims=3, min_side=1, max_side=3)
+SHAPE_PAIRS = st.one_of(BROADCAST_PAIRS, st.tuples(ANY_SHAPE, ANY_SHAPE))
+
+
+def binary_operands(seed, shape_a, shape_b):
+    """Normal numerators; denominators bounded away from zero, either sign."""
+    rng = np.random.default_rng(seed)
+    a = np.asarray(rng.normal(size=shape_a))
+    b = np.asarray(rng.uniform(0.5, 2.0, size=shape_b) * rng.choice([-1.0, 1.0], size=shape_b))
+    return rng, a, b
+
+
+class TestBinaryOpProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(pair=SHAPE_PAIRS, op=st.sampled_from(sorted(BINARY_OPS)), seed=st.integers(0, 2**32 - 1))
+    def test_matches_numpy_or_raises_shape_error(self, pair, op, seed):
+        shape_a, shape_b = pair
+        _, a, b = binary_operands(seed, shape_a, shape_b)
+        fn, ref = BINARY_OPS[op]
+        tape = ad.Tape()
+        va, vb = tape.leaf(a), tape.leaf(b)
+        try:
+            np.broadcast_shapes(shape_a, shape_b)
+        except ValueError:
+            with pytest.raises(ad.ShapeError, match="do not broadcast"):
+                fn(va, vb)
+            return
+        got = fn(va, vb).array
+        want = np.asarray(ref(a, b))
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(pair=BROADCAST_PAIRS, op=st.sampled_from(sorted(BINARY_OPS)), seed=st.integers(0, 2**32 - 1))
+    def test_broadcast_gradients_match_finite_differences(self, pair, op, seed):
+        shape_a, shape_b = pair
+        rng, a, b = binary_operands(seed, shape_a, shape_b)
+        fn, ref = BINARY_OPS[op]
+        weights = rng.normal(size=np.broadcast_shapes(shape_a, shape_b))
+        tape = ad.Tape(checked=True)
+        va, vb = tape.leaf(a), tape.leaf(b)
+        grads = ad.backward(ad.vsum(ad.mul(fn(va, vb), tape.constant(weights))))
+
+        def f_a(x):
+            return float(np.sum(ref(x, b) * weights))
+
+        def f_b(x):
+            return float(np.sum(ref(a, x) * weights))
+
+        assert grads[va.index].shape == shape_a and grads[vb.index].shape == shape_b
+        assert rel_err(grads[va.index].array, finite_diff(f_a, a.copy())) < 1e-6
+        assert rel_err(grads[vb.index].array, finite_diff(f_b, b.copy())) < 1e-6
 
 
 class TestBackward:

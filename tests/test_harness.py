@@ -294,6 +294,21 @@ class TestCli:
         assert cli.main(self.bench_args(tmp_path, ["--shots", "-1"])) == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_malformed_pool_size_exit_code(self, tmp_path, capsys):
+        assert cli.main(self.bench_args(tmp_path, ["--pool-size", "abc"])) == 2
+        assert "config error: pool_size" in capsys.readouterr().err
+
+    def test_malformed_hidden_in_file_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text("hidden = 4,x\n")
+        assert cli.main(self.bench_args(tmp_path, ["--config", str(path)])) == 2
+        assert "config error: hidden" in capsys.readouterr().err
+
+    def test_malformed_lambda_values_exit_code(self, tmp_path, capsys):
+        args = ["sweep-lambda", *self.bench_args(tmp_path)[1:], "--values", "0.3,abc"]
+        assert cli.main(args) == 2
+        assert "config error: values" in capsys.readouterr().err
+
     def test_run_error_exit_code(self, tmp_path, capsys, monkeypatch):
         def boom(spec, run_index):
             raise ml.MetaLearnError("boom")

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -63,7 +61,7 @@ class TestForward:
         x = tape.constant(np.linspace(-5, 5, 7).reshape(7, 1))
         feats = nn.forward_features(mv, x)
         assert feats.shape == (7, 40)
-        pred = nn.forward_head(mv, 2, feats)
+        pred = nn.head_apply(mv.head_params(2), feats)
         assert pred.shape == (7, 1)
 
     def test_input_width_checked(self):
@@ -81,7 +79,7 @@ class TestForward:
         x = tape.constant(np.zeros((3, 1)))
         feats = nn.forward_features(mv, x)
         with pytest.raises(nn.ModelError, match="head index"):
-            nn.forward_head(mv, 2, feats)
+            nn.head_apply(mv.head_params(2), feats)
 
     def test_matches_manual_numpy(self):
         m = nn.init_model([1, 5, 4], 2, seed=11)
@@ -92,7 +90,7 @@ class TestForward:
         want = h @ m.heads[1][0] + m.heads[1][1]
         tape = ad.Tape()
         mv = nn.bind(m, tape)
-        got = nn.forward_head(mv, 1, nn.forward_features(mv, tape.constant(xs)))
+        got = nn.head_apply(mv.head_params(1), nn.forward_features(mv, tape.constant(xs)))
         assert np.allclose(got.array, want, rtol=0, atol=1e-14)
 
     def test_golden_values(self):
@@ -102,7 +100,7 @@ class TestForward:
         tape = ad.Tape()
         mv = nn.bind(m, tape)
         x = tape.constant(np.array([[-1.0], [0.0], [2.5]]))
-        out = nn.forward_head(mv, 0, nn.forward_features(mv, x)).array.ravel()
+        out = nn.head_apply(mv.head_params(0), nn.forward_features(mv, x)).array.ravel()
         h = np.array([[-1.0], [0.0], [2.5]])
         for w, b in m.extractor:
             h = np.tanh(h @ w + b)
@@ -116,7 +114,7 @@ class TestForward:
         tape = ad.Tape()
         mv = nn.bind(m, tape)
         x = tape.constant(np.linspace(-1, 1, 6).reshape(6, 1))
-        pred = nn.forward_head(mv, 0, nn.forward_features(mv, x))
+        pred = nn.head_apply(mv.head_params(0), nn.forward_features(mv, x))
         loss = ad.mean(ad.square(pred))
         grads = ad.backward(loss)
         w1, b1 = mv.heads[1]
@@ -160,7 +158,7 @@ class TestInputScale:
         def loss_and_grads(model, inputs):
             tape = ad.Tape()
             mv = nn.bind(model, tape)
-            pred = nn.forward_head(mv, 0, nn.forward_features(mv, tape.constant(inputs)))
+            pred = nn.head_apply(mv.head_params(0), nn.forward_features(mv, tape.constant(inputs)))
             grads = ad.backward(ad.mean(ad.square(pred)))
             return pred.array, [grads[v.index].array for v in mv.extractor_params()]
 
@@ -174,18 +172,6 @@ class TestInputScale:
         for bad in (0.0, -2.0, float("inf"), float("nan")):
             with pytest.raises(nn.ModelError):
                 nn.init_model([1, 4], 1, seed=0, input_scale=bad)
-
-    def test_checkpoint_preserves_scale(self, tmp_path):
-        m = nn.init_model([1, 5], 2, seed=6, input_scale=7.0)
-        path = tmp_path / "model.json"
-        nn.save_checkpoint(m, path)
-        loaded = nn.load_checkpoint(path)
-        assert loaded.input_scale == 7.0
-        xs = np.linspace(-1, 1, 4).reshape(4, 1)
-        tape = ad.Tape()
-        a = nn.forward_features(nn.bind(m, tape), tape.constant(xs))
-        b = nn.forward_features(nn.bind(loaded, tape), tape.constant(xs))
-        assert np.array_equal(a.array, b.array)
 
 
 class TestInnerRates:
@@ -208,60 +194,3 @@ class TestInnerRates:
         m2 = nn.init_model([1, 8], 2, seed=0)
         mv2 = nn.bind(m2, ad.Tape())
         assert mv2.rates is None
-
-
-class TestSnapshot:
-    def test_restore_is_bitwise(self):
-        m = nn.init_model([1, 8, 8], 2, seed=9)
-        m.enable_inner_rates(0.01)
-        snap = nn.snapshot(m)
-        before = {name: arr.copy() for name, arr in m.named_params()}
-        for _, arr in m.named_params():
-            arr += 0.37
-        nn.restore(m, snap)
-        for name, arr in m.named_params():
-            assert np.array_equal(arr, before[name])
-
-    def test_snapshot_is_independent_copy(self):
-        m = nn.init_model([1, 4], 1, seed=0)
-        snap = nn.snapshot(m)
-        m.extractor[0][0][0, 0] = 123.0
-        assert snap.values["g0.w"][0, 0] != 123.0
-
-    def test_restore_rejects_foreign_model(self):
-        a = nn.init_model([1, 4], 1, seed=0)
-        b = nn.init_model([1, 4], 1, seed=0)
-        snap = nn.snapshot(a)
-        with pytest.raises(nn.ModelError, match="different model"):
-            nn.restore(b, snap)
-
-
-class TestCheckpoint:
-    def test_round_trip_bitwise(self, tmp_path):
-        m = nn.init_model([1, 40, 40], 4, seed=13)
-        m.enable_inner_rates(0.01)
-        for _, arr in m.named_params():
-            arr += np.random.default_rng(0).normal(size=arr.shape) * 0.01
-        path = tmp_path / "model.json"
-        nn.save_checkpoint(m, path)
-        loaded = nn.load_checkpoint(path)
-        for (na, pa), (nb, pb) in zip(m.named_params(), loaded.named_params()):
-            assert na == nb
-            assert np.array_equal(pa, pb)
-
-    def test_save_is_byte_stable(self, tmp_path):
-        m = nn.init_model([1, 8, 8], 2, seed=4)
-        p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
-        nn.save_checkpoint(m, p1)
-        nn.save_checkpoint(m, p2)
-        assert p1.read_bytes() == p2.read_bytes()
-
-    def test_version_gate(self, tmp_path):
-        m = nn.init_model([1, 4], 1, seed=0)
-        path = tmp_path / "m.json"
-        nn.save_checkpoint(m, path)
-        payload = json.loads(path.read_text())
-        payload["version"] = 99
-        path.write_text(json.dumps(payload))
-        with pytest.raises(nn.ModelError, match="version"):
-            nn.load_checkpoint(path)

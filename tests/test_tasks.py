@@ -1,5 +1,4 @@
 import itertools
-import json
 
 import numpy as np
 import pytest
@@ -247,15 +246,3 @@ class TestBatchAndDump:
         assert all(md.support_x.shape == (10, 1) for md in batch.metadata)
         with pytest.raises(tk.TaskError, match="metadata"):
             tk.TaskBatch(tasks=batch.tasks, metadata=batch.metadata[:2], batch_seed=None)
-
-    def test_dump_round_trip(self, tmp_path):
-        src = tk.TaskSource("harmonic", 5, 5, seed=2)
-        tasks = src.train_batch(0, 0, 3)
-        path = tmp_path / "tasks.jsonl"
-        tk.dump_tasks(tasks, path)
-        lines = path.read_text().strip().split("\n")
-        assert len(lines) == 3
-        rec = json.loads(lines[0])
-        assert rec["family"] == "harmonic"
-        assert rec["params"] == pytest.approx(tasks[0].params)
-        assert rec["support"][0][0] == tasks[0].support_x[0, 0]
