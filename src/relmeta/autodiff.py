@@ -30,45 +30,8 @@ class ShapeError(AutodiffError):
     """Operands have shapes the op cannot accept."""
 
 
-class NonFiniteError(AutodiffError):
-    """A NaN or Inf appeared while checked mode was on."""
-
-
 class DetachedGradientError(AutodiffError):
     """A second-order path was requested through a detached gradient."""
-
-
-class Tensor:
-    """Dense float64 array with shape metadata; row-major storage.
-
-    Construction copies and, in checked mode, rejects NaN/Inf.
-    """
-
-    __slots__ = ("array",)
-
-    def __init__(self, values, checked: bool = False):
-        arr = np.array(values, dtype=np.float64, order="C")
-        if checked and not np.all(np.isfinite(arr)):
-            raise NonFiniteError("tensor contains NaN or Inf")
-        self.array = arr
-
-    @classmethod
-    def _wrap(cls, arr: np.ndarray) -> "Tensor":
-        t = object.__new__(cls)
-        t.array = arr
-        return t
-
-    @property
-    def shape(self) -> tuple:
-        return self.array.shape
-
-    @property
-    def data(self) -> np.ndarray:
-        """Flat row-major view of the entries."""
-        return self.array.reshape(-1)
-
-    def __repr__(self):
-        return f"Tensor(shape={self.shape}, data={self.data.tolist()})"
 
 
 class Node:
@@ -92,37 +55,8 @@ class Var:
         self.array = array
 
     @property
-    def value(self) -> Tensor:
-        return Tensor._wrap(self.array)
-
-    @property
     def shape(self) -> tuple:
         return self.array.shape
-
-    def item(self) -> float:
-        return float(self.array)
-
-    # Operator sugar; scalars route to the scalar ops.
-    def __add__(self, other):
-        return sadd(self, other) if isinstance(other, (int, float)) else add(self, other)
-
-    def __sub__(self, other):
-        return sadd(self, -other) if isinstance(other, (int, float)) else sub(self, other)
-
-    def __mul__(self, other):
-        return smul(self, other) if isinstance(other, (int, float)) else mul(self, other)
-
-    def __rmul__(self, other):
-        return smul(self, other)
-
-    def __truediv__(self, other):
-        return smul(self, 1.0 / other) if isinstance(other, (int, float)) else div(self, other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return smul(self, -1.0)
 
     def __repr__(self):
         return f"Var(index={self.index}, shape={self.shape})"
@@ -136,44 +70,26 @@ _ZERO_GRAD = "zero-grad"
 
 
 class Tape:
-    """Append-only record of primitive operations.
+    """Append-only record of primitive operations."""
 
-    ``checked=True`` validates every recorded value for NaN/Inf; tests run
-    checked, benchmarks do not.
-    """
-
-    def __init__(self, checked: bool = False):
+    def __init__(self):
         self.nodes: list[Node] = []
-        self.checked = checked
 
     def __len__(self) -> int:
         return len(self.nodes)
 
     def _append(self, op, parents, array, extra=None) -> Var:
-        if self.checked and not np.all(np.isfinite(array)):
-            raise NonFiniteError(f"op '{op}' produced a non-finite value")
         idx = len(self.nodes)
         self.nodes.append(Node(op, parents, array, extra))
         return Var(self, idx, array)
 
     def leaf(self, values) -> Var:
         """A differentiation root; backward() reports gradients for these."""
-        arr = values.array if isinstance(values, Tensor) else np.array(values, dtype=np.float64)
-        if self.checked and not np.all(np.isfinite(arr)):
-            raise NonFiniteError("leaf value contains NaN or Inf")
-        return self._append("leaf", (), arr)
+        return self._append("leaf", (), np.array(values, dtype=np.float64))
 
     def constant(self, values) -> Var:
         """Like a leaf but excluded from gradient reports (data, masks)."""
-        arr = values.array if isinstance(values, Tensor) else np.asarray(values, dtype=np.float64)
-        return self._append("const", (), arr)
-
-    def var(self, index: int) -> Var:
-        node = self.nodes[index]
-        return Var(self, index, node.array)
-
-    def leaf_indices(self) -> list[int]:
-        return [i for i, n in enumerate(self.nodes) if n.op == "leaf"]
+        return self._append("const", (), np.asarray(values, dtype=np.float64))
 
     def replay(self) -> list[np.ndarray]:
         """Recompute every node value from the leaves, in index order.
@@ -235,11 +151,12 @@ def _f_transpose(xs, _):
 
 
 def _f_reshape(xs, shape):
-    return np.ascontiguousarray(xs[0].reshape(shape))
+    # not ascontiguousarray: it turns a 0-d result into shape (1,)
+    return np.asarray(xs[0].reshape(shape), order="C")
 
 
 def _f_broadcast(xs, shape):
-    return np.ascontiguousarray(np.broadcast_to(xs[0], shape))
+    return np.asarray(np.broadcast_to(xs[0], shape), order="C")
 
 
 def _f_sum(xs, extra):
@@ -371,7 +288,7 @@ def transpose(a: Var) -> Var:
 
 def reshape(a: Var, shape) -> Var:
     shape = tuple(shape)
-    return a.tape._append("reshape", (a.index,), np.ascontiguousarray(a.array.reshape(shape)), shape)
+    return a.tape._append("reshape", (a.index,), np.asarray(a.array.reshape(shape), order="C"), shape)
 
 
 def broadcast_to(a: Var, shape) -> Var:
@@ -380,7 +297,7 @@ def broadcast_to(a: Var, shape) -> Var:
         arr = np.broadcast_to(a.array, shape)
     except ValueError:
         raise ShapeError(f"op 'broadcast': cannot broadcast {a.shape} to {shape}") from None
-    return a.tape._append("broadcast", (a.index,), np.ascontiguousarray(arr), shape)
+    return a.tape._append("broadcast", (a.index,), np.asarray(arr, order="C"), shape)
 
 
 def _norm_axis(axis, ndim):
@@ -629,62 +546,56 @@ _VJP = {
 # ---------------------------------------------------------------------------
 # backward engine
 
-def _seed_var(output: Var, seed) -> Var:
-    if seed is None:
-        return output.tape.constant(np.ones(output.shape))
-    arr = seed.array if isinstance(seed, (Tensor, Var)) else np.asarray(seed, dtype=np.float64)
-    if arr.shape != output.shape:
-        raise ShapeError(f"backward: seed shape {arr.shape} does not match output shape {output.shape}")
-    return output.tape.constant(arr)
+def _walk(output: Var, seed, wanted: list) -> dict[int, Var]:
+    """Reverse walk from `output`; the adjoint Var of every index in `wanted`.
 
-
-def _backprop(output: Var, seed_var: Var, wanted: dict, stop_at_wanted: bool) -> None:
-    """Reverse walk from `output`; fills `wanted[index] = adjoint Var`.
-
+    The walk stops at wanted nodes as well as at leaves and constants.
     Adjoints accumulate in strict descending-index order, so the summation
     order is deterministic and independent of graph construction details.
+    Wanted nodes the walk never reaches get recorded zero constants,
+    marked so downstream consumers can tell them from detached values.
     """
-    nodes = output.tape.nodes
+    tape = output.tape
+    nodes = tape.nodes
+    if seed is None:
+        seed_var = tape.constant(np.ones(output.shape))
+    else:
+        arr = seed.array if isinstance(seed, Var) else np.asarray(seed, dtype=np.float64)
+        if arr.shape != output.shape:
+            raise ShapeError(f"backward: seed shape {arr.shape} does not match output shape {output.shape}")
+        seed_var = tape.constant(arr)
+    wanted_set = set(wanted)
+    found: dict[int, Var] = {}
     adjoint: dict[int, Var] = {output.index: seed_var}
     for idx in range(output.index, -1, -1):
         g = adjoint.pop(idx, None)
         if g is None:
             continue
-        if idx in wanted:
-            wanted[idx] = g
-            if stop_at_wanted:
-                continue
+        if idx in wanted_set:
+            found[idx] = g
+            continue
         node = nodes[idx]
         if node.op in _TERMINAL:
             continue
-        builder = _VJP.get(node.op)
-        if builder is None:
-            raise AutodiffError(f"op '{node.op}' has no registered VJP")
-        out_var = Var(output.tape, idx, node.array)
-        ins = tuple(output.tape.var(p) for p in node.parents)
-        for parent, gp in zip(node.parents, builder(out_var, ins, g, node.extra)):
-            if gp is None:
-                continue
+        out_var = Var(tape, idx, node.array)
+        ins = tuple(Var(tape, p, nodes[p].array) for p in node.parents)
+        for parent, gp in zip(node.parents, _VJP[node.op](out_var, ins, g, node.extra)):
             cur = adjoint.get(parent)
             adjoint[parent] = gp if cur is None else add(cur, gp)
+    for idx in wanted:
+        if idx not in found:
+            found[idx] = tape._append("const", (), np.zeros(nodes[idx].array.shape), _ZERO_GRAD)
+    return found
 
 
-def backward(output: Var, seed=None) -> dict[int, Tensor]:
-    """Gradient of `output` w.r.t. every leaf of its tape.
+def backward(output: Var, seed=None) -> dict[int, Var]:
+    """Gradient of `output` w.r.t. every leaf of its tape, keyed by leaf index.
 
-    `seed` defaults to ones (use a scalar output).  Leaves the backward
-    sweep never reaches map to zero tensors.
+    `seed` defaults to ones (use a scalar output).  The adjoints are tape
+    Vars; leaves the sweep never reaches map to recorded zero constants.
     """
-    seed_var = _seed_var(output, seed)
-    wanted = {i: None for i in output.tape.leaf_indices()}
-    _backprop(output, seed_var, wanted, stop_at_wanted=False)
-    out = {}
-    for idx, g in wanted.items():
-        if g is None:
-            out[idx] = Tensor(np.zeros(output.tape.nodes[idx].array.shape))
-        else:
-            out[idx] = g.value
-    return out
+    leaves = [i for i, node in enumerate(output.tape.nodes) if node.op == "leaf"]
+    return _walk(output, seed, leaves)
 
 
 def grad(output: Var, wrt, seed=None) -> list[Var]:
@@ -692,21 +603,11 @@ def grad(output: Var, wrt, seed=None) -> list[Var]:
 
     The returned Vars are recorded on the same tape, so they support
     further composition (inner-update paths).  Unreached entries come back
-    as recorded zero constants, marked so downstream consumers can tell
-    them from genuinely detached values.
+    as recorded zero constants.
     """
     wrt = list(wrt)
-    seed_var = _seed_var(output, seed)
-    wanted = {v.index: None for v in wrt}
-    _backprop(output, seed_var, wanted, stop_at_wanted=True)
-    tape = output.tape
-    results = []
-    for v in wrt:
-        g = wanted[v.index]
-        if g is None:
-            g = tape._append("const", (), np.zeros(v.shape), _ZERO_GRAD)
-        results.append(g)
-    return results
+    adjoints = _walk(output, seed, [v.index for v in wrt])
+    return [adjoints[v.index] for v in wrt]
 
 
 def is_detached(v: Var) -> bool:
@@ -715,8 +616,8 @@ def is_detached(v: Var) -> bool:
     return node.op in _TERMINAL and node.extra != _ZERO_GRAD
 
 
-def grad_through_update(loss_fn, params, inner_grads=None, alpha=0.01, first_order=False, rates=None):
-    """Apply ``p <- p - a * dL/dp`` with the subtraction recorded.
+def grad_through_update(params, inner_grads, alpha=0.01, first_order=False, rates=None):
+    """Apply ``p <- p - a * g`` for each param and its inner gradient ``g``.
 
     In second-order mode (default) the gradients must themselves be tape
     nodes so a later backward pass flows through them; passing detached
@@ -724,15 +625,9 @@ def grad_through_update(loss_fn, params, inner_grads=None, alpha=0.01, first_ord
     ``first_order=True`` the gradients are detached before the update.
 
     ``rates`` (elementwise learning-rate Vars, one per param) replaces the
-    scalar ``alpha`` when given.  When ``inner_grads`` is None they are
-    computed as grad(loss_fn(params), params).
+    scalar ``alpha`` when given.
     """
     params = list(params)
-    if inner_grads is None:
-        loss = loss_fn(params)
-        if loss.array.ndim != 0 and loss.shape != (1,):
-            raise ShapeError(f"grad_through_update: loss must be scalar, got shape {loss.shape}")
-        inner_grads = grad(loss, params)
     inner_grads = list(inner_grads)
     if len(inner_grads) != len(params):
         raise AutodiffError("grad_through_update: params and inner_grads lengths differ")

@@ -1,8 +1,8 @@
 """Command-line front end: bench, sweep-lambda, ablate-matrix, heatmap.
 
-Flags override config-file keys; anything not exposed as a flag can be
-set in the key=value file passed with --config.  Exit codes: 0 success,
-2 bad configuration, 3 failed run.
+Every config key has one flag, and flags override the key=value file
+passed with --config.  Exit codes: 0 success, 2 bad configuration,
+3 failed run.
 """
 
 from __future__ import annotations
@@ -10,59 +10,33 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import relmeta.harness as hz
 
 
+#: flag spellings that differ from the config key
+_FLAG_NAMES = {"lam": "--lambda", "sim_heads": "--heads"}
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
+    """One flag per spec field; values stay strings until parse_config."""
     parser.add_argument("--config", type=str, default=None, metavar="FILE")
-    parser.add_argument("--out", type=str, default=None, metavar="DIR")
-    parser.add_argument("--dataset", type=str, default=None,
-                        choices=["sinusoid", "harmonic"])
-    parser.add_argument("--shots", type=int, default=None)
-    parser.add_argument("--queries", type=int, default=None)
-    parser.add_argument("--method", type=str, default=None,
-                        choices=["maml", "metasgd", "anil"])
-    parser.add_argument("--trlearner", type=str, default=None, choices=["on", "off"])
-    parser.add_argument("--lambda", dest="lam", type=float, default=None)
-    parser.add_argument("--alpha", type=float, default=None)
-    parser.add_argument("--beta", type=float, default=None)
-    parser.add_argument("--heads", dest="sim_heads", type=int, default=None,
-                        metavar="K")
-    parser.add_argument("--batch-tasks", type=int, default=None, metavar="N")
-    parser.add_argument("--inner-steps", type=int, default=None)
-    parser.add_argument("--eval-inner-steps", type=int, default=None)
-    parser.add_argument("--first-order", action="store_true", default=False)
-    parser.add_argument("--runs", type=int, default=None)
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--epochs", type=int, default=None)
-    parser.add_argument("--batches-per-epoch", type=int, default=None)
-    parser.add_argument("--pool-size", type=str, default=None,
-                        help="training pool size, or 'none' for a fresh stream")
-    parser.add_argument("--eval-tasks", type=int, default=None)
-    parser.add_argument("--matrix-mode", type=str, default=None,
-                        choices=["learned", "fixed"])
-    parser.add_argument("--optimizer", type=str, default=None,
-                        choices=["sgd", "adam"])
-    parser.add_argument("--log-matrix-every", type=int, default=None)
-    parser.add_argument("--timing", action="store_true", default=False)
+    for f in fields(hz.ExperimentSpec):
+        if f.name == "second_order":
+            parser.add_argument("--first-order", dest=f.name, action="store_const",
+                                const="false", help="first-order meta-gradients")
+            continue
+        flag = _FLAG_NAMES.get(f.name, "--" + f.name.replace("_", "-"))
+        extra = dict(nargs="?", const="true") if isinstance(f.default, bool) else {}
+        parser.add_argument(flag, dest=f.name, help=f"default {hz.format_value(f.default)}",
+                            **extra)
 
 
 def _overrides(args: argparse.Namespace) -> dict:
-    skip = {"command", "config", "values", "log", "first_order", "timing"}
-    over = {}
-    for key, value in vars(args).items():
-        if key in skip or value is None:
-            continue
-        if key == "trlearner":
-            value = value == "on"
-        over[key] = value
-    if args.first_order:
-        over["second_order"] = False
-    if getattr(args, "timing", False):
-        over["timing"] = True
-    return over
+    return {f.name: getattr(args, f.name) for f in fields(hz.ExperimentSpec)
+            if getattr(args, f.name) is not None}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -82,10 +56,34 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_log(path) -> list:
+    """log.jsonl records; a line export_heatmaps cannot use fails the run."""
+    records = []
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
+        if not line:
+            continue
+        try:
+            record = json.loads(line)
+            if not isinstance(record, dict):
+                raise ValueError(f"expected a JSON object, got {type(record).__name__}")
+            rows = record.get("matrix")
+            if rows is not None:
+                if not (isinstance(record.get("epoch"), int)
+                        and isinstance(record.get("run", 0), int)):
+                    raise ValueError("a matrix record needs an integer 'epoch' (and 'run', if given)")
+                if not (isinstance(rows, list) and rows and all(
+                        isinstance(row, list) and row and len(row) == len(rows[0])
+                        and all(isinstance(v, (int, float)) for v in row) for row in rows)):
+                    raise ValueError("'matrix' is not a grid of numbers with equal, non-empty rows")
+        except (ValueError, TypeError) as exc:
+            raise hz.RunError(f"{path}:{lineno}: {exc}") from None
+        records.append(record)
+    return records
+
+
 def _run(args: argparse.Namespace) -> int:
     if args.command == "heatmap":
-        records = [json.loads(line)
-                   for line in Path(args.log).read_text().splitlines() if line]
+        records = _read_log(args.log)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         written = hz.export_heatmaps(records, out)

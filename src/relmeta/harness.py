@@ -173,59 +173,41 @@ def echo_config(spec: ExperimentSpec, out_dir) -> None:
 
 @dataclass
 class ResultRow:
-    """One aggregated benchmark line, Table-style: identity + MSE stats."""
+    """One aggregated benchmark line: the spec that ran and its MSE stats.
 
-    dataset: str
-    shots: int
-    method: str
-    trlearner: bool
-    matrix_mode: str
-    lam: float
-    alpha: float
-    beta: float
-    inner_steps: int
-    batch_tasks: int
-    epochs: int
-    batches_per_epoch: int
-    pool_size: object
-    runs: int
-    seed: int
+    Spec settings read through (`row.lam`, `row.method`, ...); `runs`,
+    `mse_mean` and `ci95` are derived from `per_run`.
+    """
+
+    spec: ExperimentSpec
     per_run: list
-    mse_mean: float
-    ci95: float
     seconds: object = None
 
     def __post_init__(self):
-        if self.runs != len(self.per_run):
-            raise RunError(f"runs={self.runs} but {len(self.per_run)} per-run values")
-        if abs(self.mse_mean - float(np.mean(self.per_run))) > 1e-12:
-            raise RunError("mse_mean is not the arithmetic mean of per_run")
+        self.mse_mean, self.ci95 = ml.summarize(self.per_run)
+
+    def __getattr__(self, name):
+        if name == "spec":  # not yet set while unpickling or copying
+            raise AttributeError(name)
+        return getattr(self.spec, name)
+
+    @property
+    def runs(self) -> int:
+        return len(self.per_run)
 
     def csv_values(self) -> list:
+        spec = self.spec
         return [
-            self.dataset, str(self.shots), self.method,
-            "on" if self.trlearner else "off", self.matrix_mode,
-            repr(float(self.lam)), repr(float(self.alpha)), repr(float(self.beta)),
-            str(self.inner_steps), str(self.batch_tasks), str(self.epochs),
-            str(self.batches_per_epoch),
-            "none" if self.pool_size is None else str(self.pool_size),
-            str(self.runs), str(self.seed), repr(float(self.mse_mean)),
+            spec.dataset, str(spec.shots), spec.method,
+            "on" if spec.trlearner else "off", spec.matrix_mode,
+            repr(float(spec.lam)), repr(float(spec.alpha)), repr(float(spec.beta)),
+            str(spec.inner_steps), str(spec.batch_tasks), str(spec.epochs),
+            str(spec.batches_per_epoch),
+            "none" if spec.pool_size is None else str(spec.pool_size),
+            str(self.runs), str(spec.seed), repr(float(self.mse_mean)),
             "n/a" if self.runs == 1 else repr(float(self.ci95)),
             "" if self.seconds is None else f"{self.seconds:.3f}",
         ]
-
-
-def _aggregate(spec: ExperimentSpec, per_run: list, seconds) -> ResultRow:
-    mean, ci = ml.summarize(per_run)
-    return ResultRow(
-        dataset=spec.dataset, shots=spec.shots, method=spec.method,
-        trlearner=spec.trlearner, matrix_mode=spec.matrix_mode, lam=spec.lam,
-        alpha=spec.alpha, beta=spec.beta, inner_steps=spec.inner_steps,
-        batch_tasks=spec.batch_tasks, epochs=spec.epochs,
-        batches_per_epoch=spec.batches_per_epoch, pool_size=spec.pool_size,
-        runs=len(per_run), seed=spec.seed, per_run=per_run,
-        mse_mean=mean, ci95=ci, seconds=seconds,
-    )
 
 
 def write_results_csv(rows: list, path) -> None:
@@ -290,7 +272,7 @@ def run_benchmark(spec: ExperimentSpec, out_dir=None) -> list:
         if first is None:
             first = outcome
     seconds = time.perf_counter() - started if spec.timing else None
-    rows = [_aggregate(spec, per_run, seconds)] if per_run else []
+    rows = [ResultRow(spec, per_run, seconds)] if per_run else []
     write_results_csv(rows, out / "results.csv")
     _write_log(out, run_records)
     lines = [summary_line(row) for row in rows]
@@ -314,7 +296,7 @@ def sweep_lambda(spec: ExperimentSpec, values=LAMBDA_GRID, out_dir=None) -> list
     for value in values:
         sub = replace(spec, lam=float(value), trlearner=True)
         per_run = [single_run(sub, r)["mse"] for r in range(sub.runs)]
-        rows.append(_aggregate(sub, per_run, None))
+        rows.append(ResultRow(sub, per_run))
     write_results_csv(rows, out / "results.csv")
     with open(out / "sweep.csv", "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -342,7 +324,7 @@ def ablate_matrix(spec: ExperimentSpec, out_dir=None) -> list:
                 if not np.array_equal(outcome["layer"].omega,
                                       np.ones_like(outcome["layer"].omega)):
                     raise RunError("fixed matrix mode updated omega")
-        rows.append(_aggregate(sub, [o["mse"] for o in outcomes], None))
+        rows.append(ResultRow(sub, [o["mse"] for o in outcomes]))
     write_results_csv(rows, out / "results.csv")
     lines = [summary_line(row) + f" [matrix={row.matrix_mode}]" for row in rows]
     (out / "summary.txt").write_text("\n".join(lines) + "\n")

@@ -151,19 +151,15 @@ def _adapt(mv: nn.ModelVars, head: list, support_x, support_y, config: MetaConfi
     frozen = mv.extractor_params() if head_only else []
     cur = list(head) if head_only else mv.extractor_params() + list(head)
 
-    def loss_fn(params):
-        params = frozen + params
-        feats = nn.forward_features_with(mv, params[:-2], x)
-        return task_loss(nn.head_apply(params[-2:], feats), y)
-
     rates = _inner_rates(mv, config, head_only)
     for _ in range(steps):
-        loss = loss_fn(cur)
+        params = frozen + cur
+        feats = nn.forward_features_with(mv, params[:-2], x)
+        loss = task_loss(nn.head_apply(params[-2:], feats), y)
         if not np.all(np.isfinite(loss.array)):
             raise MetaLearnError(f"non-finite inner loss for {label}")
-        gs = ad.grad(loss, cur)
         cur = ad.grad_through_update(
-            loss_fn, cur, inner_grads=gs, alpha=config.alpha,
+            cur, ad.grad(loss, cur), alpha=config.alpha,
             first_order=first_order, rates=rates,
         )
     adapted = frozen + cur

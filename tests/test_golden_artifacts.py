@@ -50,6 +50,11 @@ CASES = {
 def artifact_digests(case: str, out: Path) -> dict:
     """Run one case into `out`; map each artifact's name to its SHA-256."""
     hz.run_benchmark(hz.parse_config(None, {**BASE, **CASES[case], "out": str(out)}))
+    return digests_of(out)
+
+
+def digests_of(out: Path) -> dict:
+    """SHA-256 of each artifact in `out`, keyed by file name."""
     names = ["results.csv", "log.jsonl", "summary.txt", "config.txt"]
     names += sorted(p.name for p in out.glob("matrix_epoch*.csv"))
     digests = {}

@@ -1,5 +1,7 @@
+import argparse
 import csv
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ import relmeta.metalearn as ml
 import relmeta.nn as nn
 import relmeta.relation as rel
 import relmeta.tasks as tk
+import test_golden_artifacts as gold
 
 
 def tiny_overrides(**kw):
@@ -88,29 +91,22 @@ class TestParseConfig:
 
 
 class TestResultRow:
-    def row(self, **kw):
-        base = dict(dataset="sinusoid", shots=10, method="maml", trlearner=True,
-                    matrix_mode="learned", lam=0.6, alpha=0.05, beta=0.1,
-                    inner_steps=1, batch_tasks=4, epochs=1, batches_per_epoch=2,
-                    pool_size=None, runs=2, seed=0, per_run=[1.0, 3.0],
-                    mse_mean=2.0, ci95=1.0)
-        base.update(kw)
-        return hz.ResultRow(**base)
-
-    def test_mean_invariant(self):
-        with pytest.raises(hz.RunError, match="arithmetic mean"):
-            self.row(mse_mean=2.5)
-
-    def test_run_count_invariant(self):
-        with pytest.raises(hz.RunError, match="per-run"):
-            self.row(runs=3)
-
     def test_single_run_ci_is_na(self):
-        row = self.row(runs=1, per_run=[1.5], mse_mean=1.5, ci95=0.0)
+        row = hz.ResultRow(hz.parse_config(None, {"pool_size": "none"}), [1.5])
         values = dict(zip(hz.RESULT_COLUMNS, row.csv_values()))
         assert values["ci95"] == "n/a"
         assert values["seconds"] == ""
         assert values["pool_size"] == "none"
+
+    def test_values_come_from_spec_and_runs(self):
+        spec = hz.parse_config(None, {"lam": 1, "alpha": 0, "beta": 2, "trlearner": False})
+        row = hz.ResultRow(spec, [1.0, 3.0], seconds=2.0)
+        assert row.lam == 1 and row.method == "maml" and row.runs == 2 and spec.runs == 5
+        assert (row.mse_mean, row.ci95) == ml.summarize([1.0, 3.0])
+        values = dict(zip(hz.RESULT_COLUMNS, row.csv_values()))
+        assert (values["lambda"], values["alpha"], values["beta"]) == ("1.0", "0.0", "2.0")
+        assert values["trlearner"] == "off" and values["runs"] == "2"
+        assert values["mse_mean"] == "2.0" and values["seconds"] == "2.000"
 
 
 class TestRunBenchmark:
@@ -326,8 +322,68 @@ class TestCli:
         assert code == 0
         assert (out / "matrix_epoch001.csv").exists()
 
+    @pytest.mark.parametrize("lines, message", [
+        (['{"epoch": 0}', "not json"], ":2: Expecting value"),
+        (['{"epoch": 0}', "[1, 2]"], ":2: expected a JSON object, got list"),
+        (['{"epoch": 0, "matrix": [[0.0, 1.0], [1.0]]}'], ":1: 'matrix' is not a grid"),
+    ], ids=["not-json", "not-object", "ragged-matrix"])
+    def test_heatmap_malformed_log(self, tmp_path, capsys, lines, message):
+        log = tmp_path / "log.jsonl"
+        log.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "maps"
+        assert cli.main(["heatmap", "--log", str(log), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"run failed: {log}{message}") and "Traceback" not in err
+        assert not out.exists()
+
     def test_pool_size_none_flag(self, tmp_path):
         args = cli.build_parser().parse_args(
             self.bench_args(tmp_path, ["--pool-size", "none"]))
         spec = hz.parse_config(None, cli._overrides(args))
         assert spec.pool_size is None
+
+    def test_bool_flags_take_optional_value(self):
+        parse = cli.build_parser().parse_args
+        assert hz.parse_config(None, cli._overrides(parse(["bench", "--timing"]))).timing is True
+        spec = hz.parse_config(None, cli._overrides(parse(["bench", "--trlearner"])))
+        assert spec.trlearner is True
+        spec = hz.parse_config(None, cli._overrides(parse(["bench", "--timing", "off"])))
+        assert spec.timing is False
+
+
+def spec_flags(settings: dict) -> list:
+    """Command-line flags for a dict of config key -> value string."""
+    flags = []
+    for key, value in settings.items():
+        if key == "second_order":
+            flags += [] if hz._parse_value(key, value) else ["--first-order"]
+        else:
+            flags += [cli._FLAG_NAMES.get(key, "--" + key.replace("_", "-")), value]
+    return flags
+
+
+class TestCliSurface:
+    def bench_parser(self):
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        return sub.choices["bench"]
+
+    def test_one_flag_per_spec_field(self):
+        dests = [a.dest for a in self.bench_parser()._actions if a.dest not in ("help", "config")]
+        assert sorted(dests) == sorted(f.name for f in fields(hz.ExperimentSpec))
+
+    def test_config_txt_as_flags_rebuilds_spec(self, tmp_path):
+        spec = tiny_spec(tmp_path, method="metasgd", trlearner="off", second_order="false",
+                         pool_size="none", lam=0.45, timing="true", metadata_strategy="scored",
+                         metadata_samples=4, eval_inner_steps=3, hidden="8,8")
+        hz.echo_config(spec, tmp_path)
+        settings = dict(line.split("=", 1)
+                        for line in (tmp_path / "config.txt").read_text().splitlines())
+        args = cli.build_parser().parse_args(["bench", *spec_flags(settings)])
+        assert hz.parse_config(None, cli._overrides(args)) == spec
+
+    def test_golden_case_through_cli(self, tmp_path, capsys):
+        golden = json.loads(gold.FIXTURE.read_text())["maml-trl"]
+        settings = {**gold.BASE, **gold.CASES["maml-trl"], "out": str(tmp_path)}
+        assert cli.main(["bench", *spec_flags(settings)]) == 0
+        assert gold.digests_of(tmp_path) == golden

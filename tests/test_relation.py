@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import relmeta.autodiff as ad
 import relmeta.nn as nn
@@ -230,6 +232,38 @@ class TestBuildMatrix:
             total = ad.add(total, matrix.entry(*pair))
         g = ad.backward(total)[omega.index].array
         assert np.any(g != 0.0)
+
+
+class TestMatrixInvariants:
+    """Permutation equivariance and invariance to scaling one omega row."""
+
+    @staticmethod
+    def case(seed, n, k, width):
+        rng = np.random.default_rng(seed)
+        return rng, rng.uniform(0.1, 3.0, size=(k, width)), [rng.normal(size=width) for _ in range(n)]
+
+    @staticmethod
+    def values(omega0, zs):
+        tape = ad.Tape()
+        return rel.build_matrix(tape.leaf(omega0), [vec(tape, z) for z in zs]).values()
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 6), k=st.integers(1, 3),
+           width=st.integers(1, 6))
+    def test_permuting_representations_permutes_matrix(self, seed, n, k, width):
+        rng, omega0, zs = self.case(seed, n, k, width)
+        perm = rng.permutation(n)
+        permuted = self.values(omega0, [zs[p] for p in perm])
+        assert permuted.tobytes() == self.values(omega0, zs)[np.ix_(perm, perm)].tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 6), k=st.integers(1, 3),
+           width=st.integers(1, 6), c=st.floats(1e-3, 1e3))
+    def test_scaling_one_omega_row_moves_nothing(self, seed, n, k, width, c):
+        rng, omega0, zs = self.case(seed, n, k, width)
+        scaled = omega0.copy()
+        scaled[rng.integers(k)] *= c
+        assert np.max(np.abs(self.values(scaled, zs) - self.values(omega0, zs))) <= 1e-12
 
 
 class TestWeights:
