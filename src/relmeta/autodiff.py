@@ -12,6 +12,14 @@ graph, and a later backward pass differentiates straight through it.  That
 is exactly what one recorded inner gradient-descent step of the bi-level
 training loop needs (see :mod:`relmeta.metalearn`).
 
+Each node also records, as an int bitmask, which leaves it depends on
+(leaf k sets bit k; constants are 0).  A reverse walk builds adjoints only
+toward parents that share a leaf with one of the nodes it was asked for,
+so no VJP is recorded toward data, masks or a frozen sub-graph.  A few
+fused ops (`matmul` with transposed operands, `affine`, `mse` and the
+tanh and cosine VJPs) stand for chains of primitives: each computes the
+same float expression the chain did, in one node.
+
 A tape is single-owner: record and differentiate from one execution
 context.  Independent tapes are cheap; the training loop makes a fresh one
 per meta-batch.
@@ -35,13 +43,14 @@ class DetachedGradientError(AutodiffError):
 
 
 class Node:
-    __slots__ = ("op", "parents", "array", "extra")
+    __slots__ = ("op", "parents", "array", "extra", "mask")
 
-    def __init__(self, op, parents, array, extra):
+    def __init__(self, op, parents, array, extra, mask):
         self.op = op
         self.parents = parents
         self.array = array
         self.extra = extra
+        self.mask = mask
 
 
 class Var:
@@ -74,18 +83,24 @@ class Tape:
 
     def __init__(self):
         self.nodes: list[Node] = []
+        self.n_leaves = 0
 
     def __len__(self) -> int:
         return len(self.nodes)
 
-    def _append(self, op, parents, array, extra=None) -> Var:
-        idx = len(self.nodes)
-        self.nodes.append(Node(op, parents, array, extra))
+    def _append(self, op, parents, array, extra=None, mask=0) -> Var:
+        nodes = self.nodes
+        for p in parents:
+            mask |= nodes[p].mask
+        idx = len(nodes)
+        nodes.append(Node(op, parents, array, extra, mask))
         return Var(self, idx, array)
 
     def leaf(self, values) -> Var:
         """A differentiation root; backward() reports gradients for these."""
-        return self._append("leaf", (), np.array(values, dtype=np.float64))
+        bit = 1 << self.n_leaves
+        self.n_leaves += 1
+        return self._append("leaf", (), np.array(values, dtype=np.float64), mask=bit)
 
     def constant(self, values) -> Var:
         """Like a leaf but excluded from gradient reports (data, masks)."""
@@ -142,8 +157,32 @@ def _f_sadd(xs, c):
     return xs[0] + c
 
 
-def _f_matmul(xs, _):
-    return xs[0] @ xs[1]
+def _f_matmul(xs, extra):
+    a, b = xs
+    ta, tb = extra
+    if ta:
+        a = np.ascontiguousarray(a.T)
+    if tb:
+        b = np.ascontiguousarray(b.T)
+    return a @ b
+
+
+def _f_affine(xs, _):
+    return xs[0] @ xs[1] + xs[2]
+
+
+def _f_mse(xs, _):
+    return np.mean(np.square(xs[0] - xs[1]))
+
+
+def _f_mse_grad(xs, c):
+    g, p, y = xs
+    return (g * c) * ((p - y) * 2.0)
+
+
+def _f_tanh_grad(xs, _):
+    g, out = xs
+    return g - g * np.square(out)
 
 
 def _f_transpose(xs, _):
@@ -209,6 +248,13 @@ def _f_cosine(xs, _):
     return np.array(float(u @ v) / (np.linalg.norm(u) * np.linalg.norm(v)))
 
 
+def _f_cosine_grad(xs, _):
+    g, a, b, c = xs
+    ra = 1.0 / np.sqrt(np.sum(np.square(a)))
+    rb = 1.0 / np.sqrt(np.sum(np.square(b)))
+    return g * (b * (ra * rb) - a * (c * np.square(ra)))
+
+
 _FORWARD = {
     "add": _f_add,
     "sub": _f_sub,
@@ -217,6 +263,10 @@ _FORWARD = {
     "scalar-mul": _f_smul,
     "scalar-add": _f_sadd,
     "matmul": _f_matmul,
+    "affine": _f_affine,
+    "mse": _f_mse,
+    "mse-grad": _f_mse_grad,
+    "tanh-grad": _f_tanh_grad,
     "transpose": _f_transpose,
     "reshape": _f_reshape,
     "broadcast": _f_broadcast,
@@ -231,11 +281,19 @@ _FORWARD = {
     "concat": _f_concat,
     "slice": _f_slice,
     "cosine-similarity": _f_cosine,
+    "cosine-grad": _f_cosine_grad,
 }
 
 
 # ---------------------------------------------------------------------------
 # ops API
+
+def _record(op: str, vars_: tuple, extra=None) -> Var:
+    """Record `op` on `vars_`; its value comes from _FORWARD."""
+    tape = _same_tape(op, vars_)
+    arr = _FORWARD[op]([v.array for v in vars_], extra)
+    return tape._append(op, tuple(v.index for v in vars_), arr, extra)
+
 
 def _binary(op: str, a: Var, b: Var) -> Var:
     """Record a broadcasting elementwise op; its value comes from _FORWARD."""
@@ -273,11 +331,32 @@ def sadd(a: Var, c: float) -> Var:
     return a.tape._append("scalar-add", (a.index,), a.array + c, c)
 
 
-def matmul(a: Var, b: Var) -> Var:
-    if a.array.ndim != 2 or b.array.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeError(f"op 'matmul': incompatible shapes {a.shape} @ {b.shape} (2-D only)")
-    tape = _same_tape("matmul", (a, b))
-    return tape._append("matmul", (a.index, b.index), a.array @ b.array)
+def matmul(a: Var, b: Var, ta: bool = False, tb: bool = False) -> Var:
+    """a @ b, with `ta`/`tb` reading that operand transposed (2-D only).
+
+    A transposed operand is copied contiguous first, so the value equals
+    `matmul(transpose(a), b)` bit for bit.
+    """
+    if (a.array.ndim != 2 or b.array.ndim != 2
+            or a.shape[0 if ta else 1] != b.shape[1 if tb else 0]):
+        raise ShapeError(f"op 'matmul': incompatible shapes {a.shape} @ {b.shape}"
+                         f" (2-D only, ta={ta}, tb={tb})")
+    return _record("matmul", (a, b), (bool(ta), bool(tb)))
+
+
+def affine(h: Var, w: Var, b: Var) -> Var:
+    """h @ w + b for a (n, i) batch, (i, o) weights and an (o,) bias."""
+    if (h.array.ndim != 2 or w.array.ndim != 2 or h.shape[1] != w.shape[0]
+            or b.shape != (w.shape[1],)):
+        raise ShapeError(f"op 'affine': incompatible shapes {h.shape} @ {w.shape} + {b.shape}")
+    return _record("affine", (h, w, b))
+
+
+def mse(pred: Var, y: Var) -> Var:
+    """mean((pred - y)^2) over equal-shaped operands; scalar output."""
+    if pred.shape != y.shape:
+        raise ShapeError(f"op 'mse': shapes {pred.shape} and {y.shape} differ")
+    return _record("mse", (pred, y))
 
 
 def transpose(a: Var) -> Var:
@@ -370,8 +449,7 @@ def cosine_similarity(u: Var, v: Var) -> Var:
     """
     if u.array.ndim != 1 or u.shape != v.shape:
         raise ShapeError(f"op 'cosine-similarity': expected equal 1-D shapes, got {u.shape}, {v.shape}")
-    tape = _same_tape("cosine-similarity", (u, v))
-    return tape._append("cosine-similarity", (u.index, v.index), _f_cosine([u.array, v.array], None))
+    return _record("cosine-similarity", (u, v))
 
 
 def detach(a: Var) -> Var:
@@ -381,7 +459,9 @@ def detach(a: Var) -> Var:
 
 # ---------------------------------------------------------------------------
 # VJP builders: each returns per-parent adjoints, built from the ops above so
-# that gradients are themselves differentiable tape nodes.
+# that gradients are themselves differentiable tape nodes.  `need` holds one
+# flag per parent; a builder returns None for a parent whose flag is false
+# (single-parent ops are only reached when their parent is needed).
 
 def _unbroadcast(g: Var, shape: tuple) -> Var:
     if g.shape == shape:
@@ -396,50 +476,89 @@ def _unbroadcast(g: Var, shape: tuple) -> Var:
     return s
 
 
-def _v_add(out, ins, g, _):
+def _v_add(out, ins, g, _, need):
     a, b = ins
-    return (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape))
+    return (_unbroadcast(g, a.shape) if need[0] else None,
+            _unbroadcast(g, b.shape) if need[1] else None)
 
 
-def _v_sub(out, ins, g, _):
+def _v_sub(out, ins, g, _, need):
     a, b = ins
-    return (_unbroadcast(g, a.shape), _unbroadcast(smul(g, -1.0), b.shape))
+    return (_unbroadcast(g, a.shape) if need[0] else None,
+            _unbroadcast(smul(g, -1.0), b.shape) if need[1] else None)
 
 
-def _v_mul(out, ins, g, _):
+def _v_mul(out, ins, g, _, need):
     a, b = ins
-    return (_unbroadcast(mul(g, b), a.shape), _unbroadcast(mul(g, a), b.shape))
+    return (_unbroadcast(mul(g, b), a.shape) if need[0] else None,
+            _unbroadcast(mul(g, a), b.shape) if need[1] else None)
 
 
-def _v_div(out, ins, g, _):
+def _v_div(out, ins, g, _, need):
     a, b = ins
-    ga = _unbroadcast(div(g, b), a.shape)
-    gb = _unbroadcast(smul(mul(g, div(out, b)), -1.0), b.shape)
+    ga = _unbroadcast(div(g, b), a.shape) if need[0] else None
+    gb = _unbroadcast(smul(mul(g, div(out, b)), -1.0), b.shape) if need[1] else None
     return (ga, gb)
 
 
-def _v_smul(out, ins, g, c):
+def _v_smul(out, ins, g, c, need):
     return (smul(g, c),)
 
 
-def _v_sadd(out, ins, g, c):
+def _v_sadd(out, ins, g, c, need):
     return (g,)
 
 
-def _v_matmul(out, ins, g, _):
+def _v_matmul(out, ins, g, extra, need):
+    # out = A @ B with A = a.T if ta else a, B = b.T if tb else b
     a, b = ins
-    return (matmul(g, transpose(b)), matmul(transpose(a), g))
+    ta, tb = extra
+    ga = gb = None
+    if need[0]:
+        ga = matmul(b, g, ta=tb, tb=True) if ta else matmul(g, b, tb=not tb)
+    if need[1]:
+        gb = matmul(g, a, ta=True, tb=ta) if tb else matmul(a, g, ta=not ta)
+    return (ga, gb)
 
 
-def _v_transpose(out, ins, g, _):
+def _v_affine(out, ins, g, _, need):
+    h, w, b = ins
+    # Recorded in the order of the add-then-matmul chain this op replaces.
+    gb = vsum(g, axis=0) if need[2] else None
+    gh = matmul(g, w, tb=True) if need[0] else None
+    gw = matmul(h, g, ta=True) if need[1] else None
+    return (gh, gw, gb)
+
+
+def _v_mse(out, ins, g, _, need):
+    p, y = ins
+    gp = _record("mse-grad", (g, p, y), 1.0 / float(p.array.size))
+    return (gp if need[0] else None, smul(gp, -1.0) if need[1] else None)
+
+
+def _v_mse_grad(out, ins, h, c, need):
+    # out = (g * c) * ((p - y) * 2); the adjoints follow the steps of the
+    # mean(square(sub)) chain this op replaces, so second order keeps its bits
+    g, p, y = ins
+    gg = gp = gy = None
+    if need[0]:
+        summed = _unbroadcast(smul(mul(h, smul(sub(p, y), 2.0)), c), (1,) * p.array.ndim)
+        gg = reshape(summed, g.shape)
+    if need[1] or need[2]:
+        gp = smul(mul(h, smul(g, c)), 2.0)
+        gy = smul(gp, -1.0) if need[2] else None
+    return (gg, gp if need[1] else None, gy)
+
+
+def _v_transpose(out, ins, g, _, need):
     return (transpose(g),)
 
 
-def _v_reshape(out, ins, g, _):
+def _v_reshape(out, ins, g, _, need):
     return (reshape(g, ins[0].shape),)
 
 
-def _v_broadcast(out, ins, g, _):
+def _v_broadcast(out, ins, g, _, need):
     return (_unbroadcast(g, ins[0].shape),)
 
 
@@ -450,53 +569,61 @@ def _expand(g: Var, axis, in_shape) -> Var:
     return broadcast_to(reshape(g, kept), in_shape)
 
 
-def _v_sum(out, ins, g, extra):
+def _v_sum(out, ins, g, extra, need):
     axis, in_shape = extra
     return (_expand(g, axis, in_shape),)
 
 
-def _v_mean(out, ins, g, extra):
+def _v_mean(out, ins, g, extra, need):
     axis, in_shape = extra
     total = np.prod(in_shape) if axis is None else np.prod([in_shape[i] for i in axis])
     return (smul(_expand(g, axis, in_shape), 1.0 / float(total)),)
 
 
-def _v_tanh(out, ins, g, _):
-    return (sub(g, mul(g, square(out))),)
+def _v_tanh(out, ins, g, _, need):
+    return (_record("tanh-grad", (g, out)),)
 
 
-def _v_relu(out, ins, g, _):
+def _v_tanh_grad(out, ins, h, _, need):
+    # out = g - g * y^2 with y the tanh output
+    g, y = ins
+    gg = _record("tanh-grad", (h, y)) if need[0] else None
+    gy = mul(mul(smul(h, -1.0), g), smul(y, 2.0)) if need[1] else None
+    return (gg, gy)
+
+
+def _v_relu(out, ins, g, _, need):
     mask = out.tape.constant((ins[0].array > 0.0).astype(np.float64))
     return (mul(g, mask),)
 
 
-def _v_sin(out, ins, g, _):
+def _v_sin(out, ins, g, _, need):
     return (mul(g, cos(ins[0])),)
 
 
-def _v_cos(out, ins, g, _):
+def _v_cos(out, ins, g, _, need):
     return (smul(mul(g, sin(ins[0])), -1.0),)
 
 
-def _v_square(out, ins, g, _):
+def _v_square(out, ins, g, _, need):
     return (mul(g, smul(ins[0], 2.0)),)
 
 
-def _v_rsqrt(out, ins, g, _):
+def _v_rsqrt(out, ins, g, _, need):
     return (smul(mul(g, mul(out, square(out))), -0.5),)
 
 
-def _v_concat(out, ins, g, axis):
+def _v_concat(out, ins, g, axis, need):
     grads = []
     start = 0
-    for v in ins:
+    for v, wanted in zip(ins, need):
         stop = start + v.shape[axis]
-        grads.append(slice_axis(g, axis, start, stop))
+        grads.append(slice_axis(g, axis, start, stop) if wanted else None)
         start = stop
     return tuple(grads)
 
 
-def _v_slice(out, ins, g, extra):
+def _v_slice(out, ins, g, extra, need):
     axis, start, stop = extra
     a = ins[0]
     pieces = []
@@ -508,14 +635,29 @@ def _v_slice(out, ins, g, extra):
     return (concat(pieces, axis=axis) if len(pieces) > 1 else g,)
 
 
-def _v_cosine(out, ins, g, _):
+def _v_cosine(out, ins, g, _, need):
+    # d cos / du = v/(|u||v|) - cos * u/|u|^2, times g: one cosine-grad node
     u, v = ins
-    ru = rsqrt(vsum(square(u)))
-    rv = rsqrt(vsum(square(v)))
-    # d cos / du = v/(|u||v|) - cos * u/|u|^2
-    gu = sub(mul(v, mul(ru, rv)), mul(u, mul(out, square(ru))))
-    gv = sub(mul(u, mul(ru, rv)), mul(v, mul(out, square(rv))))
-    return (mul(g, gu), mul(g, gv))
+    return (_record("cosine-grad", (g, u, v, out)) if need[0] else None,
+            _record("cosine-grad", (g, v, u, out)) if need[1] else None)
+
+
+def _v_cosine_grad(out, ins, h, _, need):
+    # out = g (b p - a q) with p = ra rb, q = c ra^2, ra = |a|^-1, rb = |b|^-1;
+    # with sa = <h, a>, sb = <h, b>:  <h, out> = g (sb p - sa q)
+    g, a, b, c = ins
+    ra, rb = rsqrt(vsum(square(a))), rsqrt(vsum(square(b)))
+    ra2, rb2 = square(ra), square(rb)
+    sa, sb = vsum(mul(h, a)), vsum(mul(h, b))
+    p, q = mul(ra, rb), mul(c, ra2)
+    gp, gq = mul(g, p), mul(g, q)
+    gg = sub(mul(sb, p), mul(sa, q))
+    # through ra (d ra / da = -ra^3 a) and rb (d rb / db = -rb^3 b)
+    ka = mul(ra2, sub(mul(sb, gp), smul(mul(sa, gq), 2.0)))
+    ga = smul(add(mul(h, gq), mul(a, ka)), -1.0)
+    gb = sub(mul(h, gp), mul(b, mul(sb, mul(gp, rb2))))
+    gc = smul(mul(g, mul(sa, ra2)), -1.0)
+    return tuple(x if wanted else None for x, wanted in zip((gg, ga, gb, gc), need))
 
 
 _VJP = {
@@ -526,6 +668,10 @@ _VJP = {
     "scalar-mul": _v_smul,
     "scalar-add": _v_sadd,
     "matmul": _v_matmul,
+    "affine": _v_affine,
+    "mse": _v_mse,
+    "mse-grad": _v_mse_grad,
+    "tanh-grad": _v_tanh_grad,
     "transpose": _v_transpose,
     "reshape": _v_reshape,
     "broadcast": _v_broadcast,
@@ -540,6 +686,7 @@ _VJP = {
     "concat": _v_concat,
     "slice": _v_slice,
     "cosine-similarity": _v_cosine,
+    "cosine-grad": _v_cosine_grad,
 }
 
 
@@ -549,11 +696,14 @@ _VJP = {
 def _walk(output: Var, seed, wanted: list) -> dict[int, Var]:
     """Reverse walk from `output`; the adjoint Var of every index in `wanted`.
 
-    The walk stops at wanted nodes as well as at leaves and constants.
-    Adjoints accumulate in strict descending-index order, so the summation
-    order is deterministic and independent of graph construction details.
-    Wanted nodes the walk never reaches get recorded zero constants,
-    marked so downstream consumers can tell them from detached values.
+    The walk stops at wanted nodes as well as at leaves and constants.  It
+    builds an adjoint toward a parent only when the parent's leaf mask
+    meets the union of the wanted nodes' masks; when a wanted node depends
+    on no leaf, every adjoint is built.  Adjoints accumulate in strict
+    descending-index order, so the summation order is deterministic and
+    independent of graph construction details.  Wanted nodes the walk
+    never reaches get recorded zero constants, marked so downstream
+    consumers can tell them from detached values.
     """
     tape = output.tape
     nodes = tape.nodes
@@ -565,8 +715,16 @@ def _walk(output: Var, seed, wanted: list) -> dict[int, Var]:
             raise ShapeError(f"backward: seed shape {arr.shape} does not match output shape {output.shape}")
         seed_var = tape.constant(arr)
     wanted_set = set(wanted)
+    need = 0
+    for idx in wanted_set:
+        if not nodes[idx].mask:
+            need = None
+            break
+        need |= nodes[idx].mask
     found: dict[int, Var] = {}
-    adjoint: dict[int, Var] = {output.index: seed_var}
+    adjoint: dict[int, Var] = {}
+    if need is None or nodes[output.index].mask & need:
+        adjoint[output.index] = seed_var
     for idx in range(output.index, -1, -1):
         g = adjoint.pop(idx, None)
         if g is None:
@@ -577,9 +735,16 @@ def _walk(output: Var, seed, wanted: list) -> dict[int, Var]:
         node = nodes[idx]
         if node.op in _TERMINAL:
             continue
+        parents = node.parents
+        if need is None:
+            flags = (True,) * len(parents)
+        else:
+            flags = [nodes[p].mask & need for p in parents]
         out_var = Var(tape, idx, node.array)
-        ins = tuple(Var(tape, p, nodes[p].array) for p in node.parents)
-        for parent, gp in zip(node.parents, _VJP[node.op](out_var, ins, g, node.extra)):
+        ins = tuple(Var(tape, p, nodes[p].array) for p in parents)
+        for parent, gp in zip(parents, _VJP[node.op](out_var, ins, g, node.extra, flags)):
+            if gp is None:
+                continue
             cur = adjoint.get(parent)
             adjoint[parent] = gp if cur is None else add(cur, gp)
     for idx in wanted:

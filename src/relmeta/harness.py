@@ -81,6 +81,8 @@ class ExperimentSpec(ml.MetaConfig):
             bad.append(f"eval_tasks={self.eval_tasks}")
         if self.pool_size is not None and self.pool_size < 1:
             bad.append(f"pool_size={self.pool_size}")
+        if not np.isfinite(self.noise_sd):
+            bad.append(f"noise_sd={self.noise_sd}")
         if bad:
             raise ConfigError("invalid values: " + ", ".join(bad))
         try:

@@ -68,13 +68,11 @@ class MetaConfig:
 
     def __post_init__(self):
         bad = []
-        # alpha/beta 0 is allowed: degenerate rates are used as probes.
-        if self.alpha < 0:
-            bad.append(f"alpha={self.alpha}")
-        if self.beta < 0:
-            bad.append(f"beta={self.beta}")
-        if self.lam < 0:
-            bad.append(f"lam={self.lam}")
+        for key in ("alpha", "beta", "lam", "momentum", "weight_decay"):
+            value = getattr(self, key)
+            # alpha/beta 0 is allowed: degenerate rates are used as probes.
+            if not np.isfinite(value) or (key in ("alpha", "beta", "lam") and value < 0):
+                bad.append(f"{key}={value}")
         if self.method not in METHODS:
             bad.append(f"method={self.method!r}")
         if self.inner_steps < 1:
@@ -122,7 +120,7 @@ def task_loss(predictions: ad.Var, targets: ad.Var) -> ad.Var:
         raise MetaLearnError(f"prediction shape {predictions.shape} != target shape {targets.shape}")
     if predictions.array.size == 0:
         raise MetaLearnError("empty batch has no loss")
-    return ad.mean(ad.square(ad.sub(predictions, targets)))
+    return ad.mse(predictions, targets)
 
 
 def _inner_rates(mv: nn.ModelVars, config: MetaConfig, head_only: bool):
@@ -140,9 +138,10 @@ def _adapt(mv: nn.ModelVars, head: list, support_x, support_y, config: MetaConfi
     """`steps` gradient steps from the base extractor and `head` on one support set.
 
     maml/metasgd adapt extractor and head; anil adapts the head only and
-    reads the extractor frozen.  Unless `first_order`, the returned
-    parameters keep the inner-gradient path alive for the outer backward.
-    `label` names the adaptation in the non-finite-loss error.
+    reads the extractor frozen, so its support features are computed once.
+    Unless `first_order`, the returned parameters keep the inner-gradient
+    path alive for the outer backward.  `label` names the adaptation in
+    the non-finite-loss error.
     """
     tape = mv.tape
     x = tape.constant(support_x)
@@ -150,12 +149,14 @@ def _adapt(mv: nn.ModelVars, head: list, support_x, support_y, config: MetaConfi
     head_only = config.method == "anil"
     frozen = mv.extractor_params() if head_only else []
     cur = list(head) if head_only else mv.extractor_params() + list(head)
+    if head_only:
+        feats = nn.forward_features_with(mv, frozen, x)
 
     rates = _inner_rates(mv, config, head_only)
     for _ in range(steps):
-        params = frozen + cur
-        feats = nn.forward_features_with(mv, params[:-2], x)
-        loss = task_loss(nn.head_apply(params[-2:], feats), y)
+        if not head_only:
+            feats = nn.forward_features_with(mv, cur[:-2], x)
+        loss = task_loss(nn.head_apply(cur[-2:], feats), y)
         if not np.all(np.isfinite(loss.array)):
             raise MetaLearnError(f"non-finite inner loss for {label}")
         cur = ad.grad_through_update(

@@ -163,7 +163,7 @@ def forward_features(mv: ModelVars, x: ad.Var) -> ad.Var:
         )
     h = _scaled_input(mv, x)
     for w, b in mv.extractor:
-        h = ad.tanh(ad.add(ad.matmul(h, w), b))
+        h = ad.tanh(ad.affine(h, w, b))
     return h
 
 
@@ -178,9 +178,9 @@ def forward_features_with(mv: ModelVars, params: list, x: ad.Var) -> ad.Var:
     """Extractor forward using an explicit flat [w0, b0, w1, b1, ...] list."""
     h = _scaled_input(mv, x)
     for li in range(len(mv.extractor)):
-        h = ad.tanh(ad.add(ad.matmul(h, params[2 * li]), params[2 * li + 1]))
+        h = ad.tanh(ad.affine(h, params[2 * li], params[2 * li + 1]))
     return h
 
 
 def head_apply(params: list, features: ad.Var) -> ad.Var:
-    return ad.add(ad.matmul(features, params[0]), params[1])
+    return ad.affine(features, params[0], params[1])

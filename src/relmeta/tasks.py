@@ -200,10 +200,11 @@ class TaskSource:
     the base seed see identical streams.  With `pool_size` set, training
     batches resample a fixed pool of that many tasks (points and noise
     frozen per pool entry); validation and evaluation tasks are always
-    fresh draws, so the pool's generalization gap is observable.
+    fresh draws, so the pool's generalization gap is observable.  A pool
+    task is generated on its first draw and cached with read-only arrays.
     """
 
-    __slots__ = ("family", "n_support", "n_query", "noise_sd", "seed", "pool_size")
+    __slots__ = ("family", "n_support", "n_query", "noise_sd", "seed", "pool_size", "_pool")
 
     _TRAIN, _VAL, _EVAL, _POOL = 1, 2, 3, 4
 
@@ -220,6 +221,7 @@ class TaskSource:
         self.noise_sd = noise_sd
         self.seed = int(seed)
         self.pool_size = pool_size
+        self._pool = {}
 
     def _gen(self, tag: tuple) -> TaskInstance:
         ss = np.random.SeedSequence((self.seed,) + tag)
@@ -228,7 +230,14 @@ class TaskSource:
     def pool_task(self, idx: int) -> TaskInstance:
         if self.pool_size is None:
             raise TaskError("source has no task pool")
-        return self._gen((self._POOL, idx % self.pool_size))
+        idx %= self.pool_size
+        task = self._pool.get(idx)
+        if task is None:
+            task = self._gen((self._POOL, idx))
+            for arr in (task.support_x, task.support_y, task.query_x, task.query_y):
+                arr.flags.writeable = False
+            self._pool[idx] = task
+        return task
 
     def train_task(self, epoch: int, batch: int, slot: int) -> TaskInstance:
         if self.pool_size is None:

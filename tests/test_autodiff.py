@@ -423,3 +423,235 @@ class TestGradThroughUpdate:
         r = tape.leaf([0.1, 0.5])
         (p1,) = square_step(p, rates=[r])
         assert np.allclose(p1.array, [1.0 - 0.1 * 2.0, 2.0 - 0.5 * 4.0])
+
+
+# ---------------------------------------------------------------------------
+# fused ops: each stands for a chain of primitives and must compute its bits
+
+
+def signed_uniform(rng, shape):
+    """Entries of magnitude 0.5-1.5 and either sign: norms stay away from 0."""
+    return rng.uniform(0.5, 1.5, size=shape) * rng.choice([-1.0, 1.0], size=shape)
+
+
+def _transposed(v, flag):
+    return ad.transpose(v) if flag else v
+
+
+def _old_cosine_vjp(g, u, v, out):
+    """The primitive chain the cosine VJP replaced, toward u and v."""
+    ru = ad.rsqrt(ad.vsum(ad.square(u)))
+    rv = ad.rsqrt(ad.vsum(ad.square(v)))
+    gu = ad.sub(ad.mul(v, ad.mul(ru, rv)), ad.mul(u, ad.mul(out, ad.square(ru))))
+    gv = ad.sub(ad.mul(u, ad.mul(ru, rv)), ad.mul(v, ad.mul(out, ad.square(rv))))
+    return [ad.mul(g, gu), ad.mul(g, gv)]
+
+
+def _tanh_vjp(vs):
+    x, w = vs
+    (gx,) = ad.grad(ad.vsum(ad.mul(ad.tanh(x), w)), [x])
+    return gx
+
+
+def _cosine_vjp(vs):
+    u, v = vs
+    return ad.concat(ad.grad(ad.cosine_similarity(u, v), [u, v]))
+
+
+def _old_cosine_chain(vs):
+    u, v = vs
+    out = ad.cosine_similarity(u, v)
+    return ad.concat(_old_cosine_vjp(u.tape.constant(np.ones(())), u, v, out))
+
+
+@st.composite
+def fused_cases(draw):
+    """(name, operand shapes, fused builder, primitive-chain builder)."""
+    n, k, m = (draw(st.integers(1, 4)) for _ in range(3))
+    kind = draw(st.sampled_from(["matmul", "affine", "mse", "tanh-vjp", "cosine-vjp"]))
+    if kind == "matmul":
+        ta, tb = draw(st.booleans()), draw(st.booleans())
+        shapes = [(k, n) if ta else (n, k), (m, k) if tb else (k, m)]
+        return (f"matmul(ta={ta}, tb={tb})", shapes,
+                lambda vs: ad.matmul(vs[0], vs[1], ta=ta, tb=tb),
+                lambda vs: ad.matmul(_transposed(vs[0], ta), _transposed(vs[1], tb)))
+    if kind == "affine":
+        return ("affine", [(n, k), (k, m), (m,)], lambda vs: ad.affine(*vs),
+                lambda vs: ad.add(ad.matmul(vs[0], vs[1]), vs[2]))
+    if kind == "mse":
+        return ("mse", [(n, m)] * 2, lambda vs: ad.mse(*vs),
+                lambda vs: ad.mean(ad.square(ad.sub(vs[0], vs[1]))))
+    if kind == "tanh-vjp":
+        return ("tanh-vjp", [(n, m)] * 2, _tanh_vjp,
+                lambda vs: ad.sub(vs[1], ad.mul(vs[1], ad.square(ad.tanh(vs[0])))))
+    return ("cosine-vjp", [(k + 1,)] * 2, _cosine_vjp, _old_cosine_chain)
+
+
+def scalarize(out, weights):
+    """sum(sin(out) * weights): the upstream gradient depends on the operands."""
+    return ad.vsum(ad.mul(ad.sin(out), out.tape.constant(weights)))
+
+
+def value_of(build, arrays, weights):
+    t = ad.Tape()
+    return float(scalarize(build([t.leaf(a) for a in arrays]), weights).array)
+
+
+def first_gradient(build, arrays, weights, dirs):
+    """sum_j <d f / d x_j, dirs_j> from a fresh tape, as a float."""
+    t = ad.Tape()
+    vs = [t.leaf(a) for a in arrays]
+    grads = ad.grad(scalarize(build(vs), weights), vs)
+    return float(sum(np.sum(g.array * d) for g, d in zip(grads, dirs)))
+
+
+class TestFusedOpProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(case=fused_cases(), seed=st.integers(0, 2**32 - 1))
+    def test_forward_is_bitwise_the_primitive_chain(self, case, seed):
+        _, shapes, fused, chain = case
+        rng = np.random.default_rng(seed)
+        arrays = [signed_uniform(rng, s) for s in shapes]
+        tape = ad.Tape()
+        vs = [tape.leaf(a) for a in arrays]
+        got, want = fused(vs).array, chain(vs).array
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        replayed = tape.replay()
+        assert all(np.array_equal(a, n.array) for a, n in zip(replayed, tape.nodes))
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=fused_cases(), seed=st.integers(0, 2**32 - 1))
+    def test_gradient_matches_finite_differences(self, case, seed):
+        _, shapes, fused, _ = case
+        rng = np.random.default_rng(seed)
+        arrays = [signed_uniform(rng, s) for s in shapes]
+        tape = ad.Tape()
+        vs = [tape.leaf(a) for a in arrays]
+        out = fused(vs)
+        weights = rng.normal(size=out.shape)
+        grads = ad.grad(scalarize(out, weights), vs)
+        for j, (g, a) in enumerate(zip(grads, arrays)):
+            def f(x, _j=j):
+                return value_of(fused, [x if i == _j else b for i, b in enumerate(arrays)], weights)
+
+            assert g.shape == a.shape
+            assert rel_err(g.array, finite_diff(f, a.copy())) < 1e-6
+
+    @settings(max_examples=80, deadline=None)
+    @given(case=fused_cases(), seed=st.integers(0, 2**32 - 1))
+    def test_second_order_matches_finite_differences(self, case, seed):
+        # d/dx_k of sum_j <grad_j f, v_j> against FD of the first gradient
+        _, shapes, fused, _ = case
+        rng = np.random.default_rng(seed)
+        arrays = [signed_uniform(rng, s) for s in shapes]
+        tape = ad.Tape()
+        vs = [tape.leaf(a) for a in arrays]
+        out = fused(vs)
+        weights = rng.normal(size=out.shape)
+        dirs = [rng.normal(size=s) for s in shapes]
+        grads = ad.grad(scalarize(out, weights), vs)
+        inner = None
+        for g, d in zip(grads, dirs):
+            term = ad.vsum(ad.mul(g, tape.constant(d)))
+            inner = term if inner is None else ad.add(inner, term)
+        second = ad.grad(inner, vs)
+        for k, (g2, a) in enumerate(zip(second, arrays)):
+            def f(x, _k=k):
+                trial = [x if i == _k else b for i, b in enumerate(arrays)]
+                return first_gradient(fused, trial, weights, dirs)
+
+            assert rel_err(g2.array, finite_diff(f, a.copy())) < 1e-5
+
+    def test_vjps_record_no_transpose(self):
+        rng = np.random.default_rng(2)
+        tape = ad.Tape()
+        h, w, b = (tape.leaf(rng.normal(size=s)) for s in [(3, 4), (4, 2), (2,)])
+        loss = ad.mse(ad.tanh(ad.affine(h, w, b)), tape.constant(rng.normal(size=(3, 2))))
+        grads = ad.grad(loss, [h, w, b])
+        ad.backward(ad.vsum(ad.concat([ad.reshape(g, (-1,)) for g in grads])))
+        assert "transpose" not in {n.op for n in tape.nodes}
+
+
+# ---------------------------------------------------------------------------
+# pruned reverse walk
+
+
+def _ancestors(tape, roots):
+    seen, stack = set(), list(roots)
+    while stack:
+        idx = stack.pop()
+        if idx not in seen:
+            seen.add(idx)
+            stack.extend(tape.nodes[idx].parents)
+    return seen
+
+
+class TestPrunedWalk:
+    def test_leaf_masks(self):
+        tape = ad.Tape()
+        a, b = tape.leaf(1.0), tape.leaf(2.0)
+        c = tape.constant(3.0)
+        masks = [tape.nodes[v.index].mask for v in (a, b, c, ad.mul(a, c), ad.add(a, b))]
+        assert masks == [0b01, 0b10, 0, 0b01, 0b11]
+
+    def test_outer_backward_builds_only_used_adjoints(self):
+        # one sinusoid meta-batch shaped like the paper's treated arm
+        import relmeta.metalearn as ml
+        import relmeta.nn as nn
+        import relmeta.relation as rel
+        import relmeta.tasks as tk
+
+        config = ml.MetaConfig(method="maml", trlearner=True, lam=0.6, sim_heads=4,
+                               batch_tasks=4, hidden=(40, 40), alpha=0.05, beta=0.01)
+        model = nn.init_model([1, 40, 40], 4, seed=0)
+        layer = rel.SimilarityLayer(4, 40)
+        source = tk.TaskSource("sinusoid", 10, 15, seed=0, pool_size=480)
+        batch = tk.make_task_batch(source.train_batch(0, 0, 4), seed=(0, 4, 0, 0))
+        objective = ml._record_batch(model, layer, batch, config)[3]
+        tape = objective.tape
+        before = len(tape)
+        adjoints = ad.backward(objective)
+        reached = _ancestors(tape, [v.index for v in adjoints.values()])
+        unused = [i for i in range(before, len(tape)) if i not in reached]
+        assert unused == [] and len(tape) > before
+
+    def test_grad_toward_a_constant(self):
+        tape = ad.Tape()
+        x = tape.leaf([1.0, -2.0])
+        c = tape.constant([3.0, 5.0])
+        f = ad.vsum(ad.mul(ad.square(x), c))
+        gc, gx = ad.grad(f, [c, x])
+        assert np.array_equal(gc.array, [1.0, 4.0]) and np.array_equal(gx.array, [6.0, -20.0])
+        (gc_only,) = ad.grad(ad.vsum(ad.mul(c, c)), [c])
+        assert np.array_equal(gc_only.array, [6.0, 10.0])
+
+    def test_unrelated_output_records_no_adjoint(self):
+        tape = ad.Tape()
+        x, y = tape.leaf([1.0, 2.0]), tape.leaf([3.0])
+        f = ad.vsum(ad.tanh(x))
+        before = len(tape)
+        (gy,) = ad.grad(f, [y])
+        assert np.array_equal(gy.array, [0.0]) and not ad.is_detached(gy)
+        assert [n.op for n in tape.nodes[before:]] == ["const", "const"]  # seed, zero
+
+    def test_anil_evaluation_records_no_vjp_toward_extractor(self, monkeypatch):
+        import relmeta.metalearn as ml
+        import relmeta.nn as nn
+        import relmeta.tasks as tk
+
+        calls = []
+        forward = nn.forward_features_with
+        monkeypatch.setattr(nn, "forward_features_with",
+                            lambda *args: calls.append(1) or forward(*args))
+        model = nn.init_model([1, 8, 8], 2, seed=3)
+        config = ml.MetaConfig(method="anil", trlearner=False, eval_inner_steps=7)
+        task = tk.TaskSource("sinusoid", 10, 15, seed=3).eval_task(0)
+        tape = ad.Tape()
+        mv = nn.bind(model, tape)
+        head = [tape.leaf(np.zeros((8, 1))), tape.leaf(np.zeros(1))]
+        ml._adapt(mv, head, task.support_x, task.support_y, config, 7, True, "an evaluation task")
+        ops = [n.op for n in tape.nodes]
+        assert len(calls) == 1 and ops.count("tanh") == 2
+        assert "tanh-grad" not in ops
+        # the only matmuls are the head-weight gradients features^T @ g
+        assert {n.extra for n in tape.nodes if n.op == "matmul"} == {(True, False)}

@@ -11,8 +11,9 @@ SHA-256 digests must equal the ones in `golden_artifacts.json`.  The
 The digests belong to the numpy/BLAS build they were captured on: another
 build may round differently and fail here without any code change.  A
 change that moves the trajectories on purpose rewrites the fixture on
-purpose, with `python tests/test_golden_artifacts.py --write`, and says
-so; no other change touches it.
+purpose, with `python tests/test_golden_artifacts.py --write [CASE ...]`
+(only the named cases, or every case when none is named), and says so;
+no other change touches it.
 """
 
 import hashlib
@@ -73,12 +74,37 @@ def test_artifacts_match_golden_digests(case, tmp_path):
     assert artifact_digests(case, tmp_path) == golden[case]
 
 
-if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
-        sys.exit("usage: python tests/test_golden_artifacts.py --write")
+def test_write_rewrites_only_named_cases(tmp_path, monkeypatch):
+    fixture = tmp_path / "golden.json"
+    fixture.write_text(FIXTURE.read_text())
+    monkeypatch.setattr(sys.modules[__name__], "FIXTURE", fixture)
+    monkeypatch.setattr(sys.modules[__name__], "artifact_digests",
+                        lambda case, out: {"results.csv": f"new {case}"})
+    before = json.loads(fixture.read_text())
+    write_fixture(["maml"])
+    after = json.loads(fixture.read_text())
+    assert after == {**before, "maml": {"results.csv": "new maml"}}
+    with pytest.raises(SystemExit, match="unknown case"):
+        write_fixture(["maml", "no-such-case"])
+    assert json.loads(fixture.read_text()) == after
+
+
+def write_fixture(cases) -> None:
+    """Recompute the digests of `cases` (every case when empty) into the fixture."""
     import tempfile
 
+    unknown = sorted(set(cases) - set(CASES))
+    if unknown:
+        raise SystemExit(f"unknown case(s): {', '.join(unknown)}; known: {', '.join(sorted(CASES))}")
+    golden = json.loads(FIXTURE.read_text()) if cases else {}
     with tempfile.TemporaryDirectory() as tmp:
-        golden = {case: artifact_digests(case, Path(tmp) / case) for case in sorted(CASES)}
+        for case in sorted(set(cases) or CASES):
+            golden[case] = artifact_digests(case, Path(tmp) / case)
     FIXTURE.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {FIXTURE}")
+    print(f"wrote {FIXTURE}: {', '.join(sorted(set(cases) or CASES))}")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:2] != ["--write"]:
+        sys.exit("usage: python tests/test_golden_artifacts.py --write [CASE ...]")
+    write_fixture(sys.argv[2:])

@@ -290,6 +290,16 @@ class TestCli:
         assert cli.main(self.bench_args(tmp_path, ["--shots", "-1"])) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["alpha", "beta", "lambda", "momentum", "weight-decay",
+                                      "noise-sd"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_float_exit_code(self, tmp_path, capsys, flag, value):
+        assert cli.main(self.bench_args(tmp_path, [f"--{flag}={value}"])) == 2
+        key = {"lambda": "lam"}.get(flag, flag.replace("-", "_"))
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and f"{key}={float(value)}" in err
+        assert not (tmp_path / "results.csv").exists()
+
     def test_malformed_pool_size_exit_code(self, tmp_path, capsys):
         assert cli.main(self.bench_args(tmp_path, ["--pool-size", "abc"])) == 2
         assert "config error: pool_size" in capsys.readouterr().err

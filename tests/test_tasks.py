@@ -228,6 +228,41 @@ class TestTaskPool:
             assert tuple(src.val_task(i).params.values()) not in pool
             assert tuple(src.eval_task(i).params.values()) not in pool
 
+    def test_each_pool_index_generated_once(self, monkeypatch):
+        calls = []
+        gen = tk.GENERATORS["sinusoid"]
+
+        def counting(seed, *args, **kwargs):
+            calls.append(tuple(seed.entropy))
+            return gen(seed, *args, **kwargs)
+
+        monkeypatch.setitem(tk.GENERATORS, "sinusoid", counting)
+        src = tk.TaskSource("sinusoid", 5, 5, seed=9, pool_size=16)
+        assert calls == []  # filled lazily, not at construction
+        for epoch in range(10):
+            src.train_batch(epoch, 0, 20)
+        assert len(calls) == len(set(calls)) == 16
+        src.pool_task(3), src.pool_task(19)
+        assert len(calls) == 16
+
+    def test_cached_draw_is_bitwise_fresh(self):
+        src = tk.TaskSource("harmonic", 5, 7, seed=4, pool_size=8)
+        for idx in (0, 5, 13):
+            src.pool_task(idx)
+            cached = src.pool_task(idx)
+            fresh = src._gen((src._POOL, idx % 8))
+            assert cached.params == fresh.params
+            for name in ("support_x", "support_y", "query_x", "query_y"):
+                assert getattr(cached, name).tobytes() == getattr(fresh, name).tobytes()
+
+    def test_cached_arrays_are_read_only(self):
+        src = tk.TaskSource("sinusoid", 5, 5, seed=9, pool_size=4)
+        task = src.train_batch(0, 0, 1)[0]
+        for name in ("support_x", "support_y", "query_x", "query_y"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(task, name)[0, 0] = 1.0
+        assert src.pool_task(0).support_y is src.pool_task(4).support_y
+
     def test_no_pool_raises(self):
         src = tk.TaskSource("sinusoid", 5, 5, seed=0)
         with pytest.raises(tk.TaskError, match="pool"):
