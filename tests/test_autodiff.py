@@ -4,6 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import relmeta.metalearn as ml
+import relmeta.nn as nn
+import relmeta.relation as rel
+import relmeta.tasks as tk
 from relmeta import autodiff as ad
 
 from fd import finite_diff, rel_err
@@ -596,11 +600,6 @@ class TestPrunedWalk:
 
     def test_outer_backward_builds_only_used_adjoints(self):
         # one sinusoid meta-batch shaped like the paper's treated arm
-        import relmeta.metalearn as ml
-        import relmeta.nn as nn
-        import relmeta.relation as rel
-        import relmeta.tasks as tk
-
         config = ml.MetaConfig(method="maml", trlearner=True, lam=0.6, sim_heads=4,
                                batch_tasks=4, hidden=(40, 40), alpha=0.05, beta=0.01)
         model = nn.init_model([1, 40, 40], 4, seed=0)
@@ -635,10 +634,6 @@ class TestPrunedWalk:
         assert [n.op for n in tape.nodes[before:]] == ["const", "const"]  # seed, zero
 
     def test_anil_evaluation_records_no_vjp_toward_extractor(self, monkeypatch):
-        import relmeta.metalearn as ml
-        import relmeta.nn as nn
-        import relmeta.tasks as tk
-
         calls = []
         forward = nn.forward_features_with
         monkeypatch.setattr(nn, "forward_features_with",
