@@ -445,7 +445,7 @@ def cosine_similarity(u: Var, v: Var) -> Var:
     """cos(u, v) = <u,v> / (|u| |v|) for 1-D inputs; scalar output.
 
     Zero-norm inputs make the value undefined; callers guard (see
-    relation.compute_relation).
+    relation.build_matrix).
     """
     if u.array.ndim != 1 or u.shape != v.shape:
         raise ShapeError(f"op 'cosine-similarity': expected equal 1-D shapes, got {u.shape}, {v.shape}")

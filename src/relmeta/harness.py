@@ -38,8 +38,8 @@ class RunError(Exception):
 
 LAMBDA_GRID = (0.3, 0.4, 0.5, 0.6, 0.7, 0.8)
 
-# Model-side input widening per task family (see nn.MetaModel input_scale).
-INPUT_SCALES = {"sinusoid": 1.0, "harmonic": 10.0}
+# The per-family input widening lives in tasks; perfbench/checks.py reads it here.
+INPUT_SCALES = tk.INPUT_SCALES
 
 RESULT_COLUMNS = (
     "dataset", "shots", "method", "trlearner", "matrix_mode", "lambda",
@@ -75,6 +75,8 @@ class ExperimentSpec(ml.MetaConfig):
             bad.append(f"shots={self.shots}")
         if self.queries < 1:
             bad.append(f"queries={self.queries}")
+        if self.metadata_samples is not None and self.metadata_samples > self.shots:
+            bad.append(f"metadata_samples={self.metadata_samples} exceeds shots={self.shots}")
         if self.runs < 1:
             bad.append(f"runs={self.runs}")
         if self.eval_tasks < 1:
@@ -232,7 +234,7 @@ def single_run(spec: ExperimentSpec, run_index: int) -> dict:
     seed = spec.seed + run_index
     config = spec.to_meta_config(seed)
     model = nn.init_model([1, *config.hidden], config.batch_tasks, seed,
-                          input_scale=INPUT_SCALES.get(spec.dataset, 1.0))
+                          input_scale=tk.INPUT_SCALES[spec.dataset])
     layer = rel.SimilarityLayer(config.sim_heads, model.feature_width)
     source = tk.TaskSource(spec.dataset, spec.shots, spec.queries,
                            noise_sd=spec.noise_sd, seed=seed,

@@ -95,6 +95,10 @@ class MetaConfig:
             bad.append(f"val_tasks={self.val_tasks}")
         if self.eval_inner_steps is not None and self.eval_inner_steps < 0:
             bad.append(f"eval_inner_steps={self.eval_inner_steps}")
+        if self.metadata_samples is not None and self.metadata_samples < 1:
+            bad.append(f"metadata_samples={self.metadata_samples}")
+        if self.log_matrix_every < 0:
+            bad.append(f"log_matrix_every={self.log_matrix_every}")
         if bad:
             raise MetaLearnError("invalid config: " + ", ".join(bad))
 
@@ -173,10 +177,6 @@ def inner_adapt(mv: nn.ModelVars, i: int, metadata, config: MetaConfig) -> Adapt
                   config.inner_steps, not config.second_order, f"task {i}")
 
 
-def _scale_rows(weight: ad.Var, rows: ad.Var) -> ad.Var:
-    return ad.mul(ad.broadcast_to(ad.reshape(weight, (1, 1)), rows.shape), rows)
-
-
 def trlearner_loss(adapted_models: list, matrix: rel.RelationMatrix, i: int, metadata) -> ad.Var:
     """Consistency of task i's targets with its peers' weighted prediction.
 
@@ -196,11 +196,10 @@ def trlearner_loss(adapted_models: list, matrix: rel.RelationMatrix, i: int, met
         if p == i:
             continue
         w = matrix.weight_var(i, p)
-        term = _scale_rows(w, adapted_models[p].predict(x))
+        term = ad.mul(w, adapted_models[p].predict(x))
         num = term if num is None else ad.add(num, term)
         den = w if den is None else ad.add(den, w)
-    blended = ad.div(num, ad.broadcast_to(ad.reshape(den, (1, 1)), num.shape))
-    return task_loss(blended, y)
+    return task_loss(ad.div(num, den), y)
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +284,7 @@ def _record_batch(model: nn.MetaModel, layer, batch: tk.TaskBatch, config: MetaC
             omega_var = tape.constant(layer.omega)
             reps = [ad.detach(z) for z in reps]
         else:
-            omega_var = rel.bind_layer(layer, tape)
+            omega_var = tape.leaf(layer.omega)
             if not config.matrix_grad_to_extractor:
                 reps = [ad.detach(z) for z in reps]
         matrix = rel.build_matrix(omega_var, reps)

@@ -161,22 +161,18 @@ def forward_features(mv: ModelVars, x: ad.Var) -> ad.Var:
         raise ModelError(
             f"input width mismatch: got shape {x.shape}, extractor expects (n, {mv.model.input_width})"
         )
-    h = _scaled_input(mv, x)
-    for w, b in mv.extractor:
-        h = ad.tanh(ad.affine(h, w, b))
-    return h
-
-
-def _scaled_input(mv: ModelVars, x: ad.Var) -> ad.Var:
-    # Scale 1.0 stays off the tape so unscaled graphs are unchanged.
-    if mv.model.input_scale == 1.0:
-        return x
-    return ad.smul(x, mv.model.input_scale)
+    return _extract(mv, mv.extractor_params(), x)
 
 
 def forward_features_with(mv: ModelVars, params: list, x: ad.Var) -> ad.Var:
     """Extractor forward using an explicit flat [w0, b0, w1, b1, ...] list."""
-    h = _scaled_input(mv, x)
+    return _extract(mv, params, x)
+
+
+def _extract(mv: ModelVars, params: list, x: ad.Var) -> ad.Var:
+    # Scale 1.0 stays off the tape so unscaled graphs are unchanged.
+    scale = mv.model.input_scale
+    h = x if scale == 1.0 else ad.smul(x, scale)
     for li in range(len(mv.extractor)):
         h = ad.tanh(ad.affine(h, params[2 * li], params[2 * li + 1]))
     return h

@@ -39,13 +39,6 @@ class SimilarityLayer:
         self.width = width
         self.omega = np.ones((k, width))
 
-    def named_params(self):
-        yield "omega", self.omega
-
-
-def bind_layer(layer: SimilarityLayer, tape: ad.Tape) -> ad.Var:
-    return tape.leaf(layer.omega)
-
 
 def task_representation(mv: nn.ModelVars, metadata) -> ad.Var:
     """Mean extractor feature over the meta-data support points."""
@@ -53,37 +46,6 @@ def task_representation(mv: nn.ModelVars, metadata) -> ad.Var:
         raise RelationError("metadata has no support points")
     x = mv.tape.constant(metadata.support_x)
     return ad.mean(nn.forward_features(mv, x), axis=0)
-
-
-def _mask_rows(omega: ad.Var) -> list:
-    k, width = omega.shape
-    return [ad.reshape(ad.slice_axis(omega, 0, h, h + 1), (width,)) for h in range(k)]
-
-
-def _masked_cosine(masks: list, z_i: ad.Var, z_j: ad.Var) -> ad.Var:
-    total = None
-    for w_k in masks:
-        u = ad.mul(w_k, z_i)
-        v = ad.mul(w_k, z_j)
-        if np.linalg.norm(u.array) == 0.0 or np.linalg.norm(v.array) == 0.0:
-            # Undefined cosine; this head contributes 0 instead of NaN.
-            log.warning("zero-norm masked representation, head contributes 0")
-            c = z_i.tape.constant(np.array(0.0))
-        else:
-            c = ad.cosine_similarity(u, v)
-        total = c if total is None else ad.add(total, c)
-    return ad.smul(total, 1.0 / len(masks))
-
-
-def compute_relation(omega: ad.Var, z_i: ad.Var, z_j: ad.Var) -> ad.Var:
-    """Mean over heads of cos(omega_k * z_i, omega_k * z_j); scalar Var."""
-    if z_i.shape != z_j.shape or z_i.array.ndim != 1:
-        raise RelationError(f"representations must share a 1-D shape, got {z_i.shape}, {z_j.shape}")
-    if omega.array.ndim != 2 or omega.shape[1] != z_i.shape[0]:
-        raise RelationError(
-            f"mask width {omega.shape} does not match representation width {z_i.shape}"
-        )
-    return _masked_cosine(_mask_rows(omega), z_i, z_j)
 
 
 class RelationMatrix:
@@ -117,14 +79,39 @@ class RelationMatrix:
 
 
 def build_matrix(omega: ad.Var, representations: list) -> RelationMatrix:
+    """Mean over heads k of cos(omega_k * z_i, omega_k * z_j) for every pair i < j.
+
+    A head whose masked representation has zero norm has no cosine; it
+    contributes 0 instead of NaN, and one warning per call counts them.
+    """
     n = len(representations)
     if n < 2:
         raise RelationError(f"relations need at least 2 tasks, got {n}")
-    masks = _mask_rows(omega)
+    shapes = [z.shape for z in representations]
+    if len(shapes[0]) != 1 or any(shape != shapes[0] for shape in shapes):
+        raise RelationError(f"representations must share a 1-D shape, got {shapes}")
+    if omega.array.ndim != 2 or omega.shape[1] != shapes[0][0]:
+        raise RelationError(f"mask width {omega.shape} does not match representation width {shapes[0]}")
+    k, width = omega.shape
+    masks = [ad.reshape(ad.slice_axis(omega, 0, h, h + 1), (width,)) for h in range(k)]
     pairs = {}
+    zero_heads = 0
     for i in range(n):
         for j in range(i + 1, n):
-            pairs[(i, j)] = _masked_cosine(masks, representations[i], representations[j])
+            total = None
+            for w_k in masks:
+                u = ad.mul(w_k, representations[i])
+                v = ad.mul(w_k, representations[j])
+                if np.linalg.norm(u.array) == 0.0 or np.linalg.norm(v.array) == 0.0:
+                    zero_heads += 1
+                    c = omega.tape.constant(np.array(0.0))
+                else:
+                    c = ad.cosine_similarity(u, v)
+                total = c if total is None else ad.add(total, c)
+            pairs[(i, j)] = ad.smul(total, 1.0 / k)
+    if zero_heads:
+        log.warning("%d of %d masked cosines had a zero-norm representation and contribute 0",
+                    zero_heads, k * len(pairs))
     return RelationMatrix(n, pairs)
 
 

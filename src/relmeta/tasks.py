@@ -20,8 +20,10 @@ class TaskError(Exception):
 
 # Input ranges per family.  Harmonic frequencies (5 to 14 rad/unit) sit far
 # above what a unit-scale tanh net resolves over a wide window, so the family
-# uses a narrow window; the model widens it back (see nn input_scale).
+# uses a narrow window, and the model widens it back by the family's
+# INPUT_SCALES factor (see nn.MetaModel input_scale).
 X_RANGES = {"sinusoid": (-5.0, 5.0), "harmonic": (-1.0, 1.0)}
+INPUT_SCALES = {"sinusoid": 1.0, "harmonic": 10.0}
 DEFAULT_NOISE_SD = 0.3
 
 
@@ -66,14 +68,12 @@ class MetaData:
     support_y: np.ndarray
     query_x: np.ndarray
     query_y: np.ndarray
-    score: float
 
 
 @dataclass
 class TaskBatch:
     tasks: list
     metadata: list
-    batch_seed: object
 
     def __post_init__(self):
         if len(self.tasks) != len(self.metadata):
@@ -143,13 +143,6 @@ def gen_harmonic(seed, n_support: int, n_query: int, noise_sd: float = DEFAULT_N
 GENERATORS = {"sinusoid": gen_sinusoid, "harmonic": gen_harmonic}
 
 
-def _spread(xs: np.ndarray) -> float:
-    if xs.size < 2:
-        return 0.0
-    d = np.abs(xs[:, None] - xs[None, :])
-    return float(d[np.triu_indices(xs.size, k=1)].min())
-
-
 def extract_metadata(task: TaskInstance, strategy: str = "uniform", m_samples=None, seed=0) -> MetaData:
     """Select the support subset a task is represented and adapted by.
 
@@ -167,13 +160,13 @@ def extract_metadata(task: TaskInstance, strategy: str = "uniform", m_samples=No
     if m_samples > n:
         raise TaskError(f"m_samples {m_samples} exceeds support size {n}")
 
-    xs = task.support_x.ravel()
     if strategy == "uniform":
         idx = np.sort(np.random.default_rng(seed).choice(n, size=m_samples, replace=False))
     elif strategy == "scored":
         if m_samples == 1:
             idx = np.array([0])
         else:
+            xs = task.support_x.ravel()
             d = np.abs(xs[:, None] - xs[None, :])
             chosen = list(np.unravel_index(np.argmax(d), d.shape))
             while len(chosen) < m_samples:
@@ -188,7 +181,6 @@ def extract_metadata(task: TaskInstance, strategy: str = "uniform", m_samples=No
         support_y=task.support_y[idx].copy(),
         query_x=task.query_x.copy(),
         query_y=task.query_y.copy(),
-        score=_spread(xs[idx]),
     )
 
 
@@ -256,11 +248,10 @@ class TaskSource:
         return self._gen((self._EVAL, idx))
 
 
-def make_task_batch(tasks: list, strategy: str = "uniform", m_samples=None, seed=0,
-                    batch_seed=None) -> TaskBatch:
+def make_task_batch(tasks: list, strategy: str = "uniform", m_samples=None, seed=0) -> TaskBatch:
     base = tuple(int(s) for s in seed) if isinstance(seed, (tuple, list)) else (int(seed),)
     metadata = [
         extract_metadata(t, strategy, m_samples, np.random.SeedSequence(base + (17, i)))
         for i, t in enumerate(tasks)
     ]
-    return TaskBatch(tasks=tasks, metadata=metadata, batch_seed=batch_seed)
+    return TaskBatch(tasks=tasks, metadata=metadata)

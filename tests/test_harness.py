@@ -300,6 +300,17 @@ class TestCli:
         assert err.startswith("config error: ") and f"{key}={float(value)}" in err
         assert not (tmp_path / "results.csv").exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--metadata-samples", "6"], "metadata_samples=6 exceeds shots=5"),
+        (["--metadata-samples", "0"], "metadata_samples=0"),
+        (["--log-matrix-every", "-1"], "log_matrix_every=-1"),
+    ], ids=["samples-above-shots", "zero-samples", "negative-matrix-every"])
+    def test_out_of_range_int_exit_code(self, tmp_path, capsys, flags, message):
+        assert cli.main(self.bench_args(tmp_path, flags)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
+        assert not (tmp_path / "config.txt").exists()
+
     def test_malformed_pool_size_exit_code(self, tmp_path, capsys):
         assert cli.main(self.bench_args(tmp_path, ["--pool-size", "abc"])) == 2
         assert "config error: pool_size" in capsys.readouterr().err

@@ -102,7 +102,7 @@ class TestInnerAdapt:
         model.heads[0][0][0, 0] = 1.0
         mv = nn.bind(model, ad.Tape())
         md = tk.MetaData(np.array([[1.0]]), np.array([[0.0]]),
-                         np.array([[1.0]]), np.array([[0.0]]), 0.0)
+                         np.array([[1.0]]), np.array([[0.0]]))
         am = ml.inner_adapt(mv, 0, md, config)
         assert am.head[0].array[0, 0] == pytest.approx(0.8, abs=1e-15)
         assert am.head[1].array[0] == pytest.approx(-0.2, abs=1e-15)
@@ -129,7 +129,7 @@ class TestInnerAdapt:
         config = small_config()
         model, layer, source = build(config)
         md = tk.MetaData(np.array([[1.0]]), np.array([[1e200]]),
-                         np.array([[1.0]]), np.array([[0.0]]), 0.0)
+                         np.array([[1.0]]), np.array([[0.0]]))
         mv = nn.bind(model, ad.Tape())
         with np.errstate(over="ignore"), pytest.raises(ml.MetaLearnError, match="task 0"):
             ml.inner_adapt(mv, 0, md, config)
@@ -168,7 +168,7 @@ class TestTrlearnerLoss:
     def md(self, ys):
         ys = np.asarray(ys, dtype=np.float64).reshape(-1, 1)
         xs = np.linspace(0, 1, ys.size).reshape(-1, 1)
-        return tk.MetaData(xs, ys, xs, ys, 0.0)
+        return tk.MetaData(xs, ys, xs, ys)
 
     def test_hand_weighted_average(self):
         tape = ad.Tape()
@@ -217,7 +217,7 @@ class TestTrlearnerLoss:
         batch = first_batch(source, config)
         tape = ad.Tape()
         mv = nn.bind(model, tape)
-        omega = rel.bind_layer(layer, tape)
+        omega = tape.leaf(layer.omega)
         reps = [rel.task_representation(mv, md) for md in batch.metadata]
         matrix = rel.build_matrix(omega, reps)
         adapted = [ml.inner_adapt(mv, i, batch.metadata[i], config) for i in range(3)]
@@ -228,6 +228,21 @@ class TestTrlearnerLoss:
         assert np.all(grads[b0.index].array == 0.0)
         w1, _ = mv.heads[1]
         assert np.any(grads[w1.index].array != 0.0)
+
+    def test_weights_scale_without_reshape_or_broadcast(self):
+        # The 0-d weights and their sum broadcast inside mul and div.
+        config = small_config()
+        model, layer, source = build(config)
+        batch = first_batch(source, config)
+        tape = ad.Tape()
+        mv = nn.bind(model, tape)
+        reps = [rel.task_representation(mv, md) for md in batch.metadata]
+        matrix = rel.build_matrix(tape.leaf(layer.omega), reps)
+        adapted = [ml.inner_adapt(mv, i, batch.metadata[i], config) for i in range(3)]
+        before = len(tape)
+        ml.trlearner_loss(adapted, matrix, 0, batch.metadata[0])
+        ops = {node.op for node in tape.nodes[before:]}
+        assert "elementwise-mul" in ops and not ops & {"reshape", "broadcast"}
 
     def test_single_task_rejected(self):
         tape = ad.Tape()

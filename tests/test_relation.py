@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -36,7 +38,7 @@ class TestTaskRepresentation:
         m = nn.init_model([1, 8, 8], 1, seed=0)
         tape = ad.Tape()
         mv = nn.bind(m, tape)
-        md = tk.MetaData(np.array([[0.7]]), np.array([[0.0]]), np.zeros((1, 1)), np.zeros((1, 1)), 0.0)
+        md = tk.MetaData(np.array([[0.7]]), np.array([[0.0]]), np.zeros((1, 1)), np.zeros((1, 1)))
         z = rel.task_representation(mv, md)
         feats = nn.forward_features(mv, tape.constant(np.array([[0.7]])))
         assert np.allclose(z.array, feats.array[0], atol=1e-15)
@@ -45,8 +47,8 @@ class TestTaskRepresentation:
         m = nn.init_model([1, 8, 8], 1, seed=1)
         tape = ad.Tape()
         mv = nn.bind(m, tape)
-        one = tk.MetaData(np.array([[1.2]]), np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, 1)), 0.0)
-        two = tk.MetaData(np.array([[1.2], [1.2]]), np.zeros((2, 1)), np.zeros((1, 1)), np.zeros((1, 1)), 0.0)
+        one = tk.MetaData(np.array([[1.2]]), np.zeros((1, 1)), np.zeros((1, 1)), np.zeros((1, 1)))
+        two = tk.MetaData(np.array([[1.2], [1.2]]), np.zeros((2, 1)), np.zeros((1, 1)), np.zeros((1, 1)))
         assert np.allclose(rel.task_representation(mv, one).array,
                            rel.task_representation(mv, two).array, atol=1e-15)
 
@@ -54,23 +56,30 @@ class TestTaskRepresentation:
         m = nn.init_model([1, 8], 1, seed=0)
         m.extractor[0][0].fill(0.0)
         mv = nn.bind(m, ad.Tape())
-        md = tk.MetaData(np.array([[1.0], [2.0]]), np.zeros((2, 1)), np.zeros((1, 1)), np.zeros((1, 1)), 0.0)
+        md = tk.MetaData(np.array([[1.0], [2.0]]), np.zeros((2, 1)), np.zeros((1, 1)), np.zeros((1, 1)))
         assert np.all(rel.task_representation(mv, md).array == 0.0)
 
     def test_empty_metadata_rejected(self):
         m = nn.init_model([1, 8], 1, seed=0)
         mv = nn.bind(m, ad.Tape())
-        md = tk.MetaData(np.zeros((0, 1)), np.zeros((0, 1)), np.zeros((1, 1)), np.zeros((1, 1)), 0.0)
+        md = tk.MetaData(np.zeros((0, 1)), np.zeros((0, 1)), np.zeros((1, 1)), np.zeros((1, 1)))
         with pytest.raises(rel.RelationError, match="support"):
             rel.task_representation(mv, md)
 
 
+def relation(omega, z_i, z_j):
+    """The one relation entry of a two-task matrix."""
+    return rel.build_matrix(omega, [z_i, z_j]).entry(0, 1)
+
+
 class TestComputeRelation:
+    """One relation entry: build_matrix on two tasks."""
+
     def test_self_relation_is_one(self):
         tape = ad.Tape()
         omega = tape.leaf(np.random.default_rng(0).uniform(0.5, 2.0, size=(3, 5)))
         z = vec(tape, [1.0, -2.0, 0.5, 3.0, 0.1])
-        m = rel.compute_relation(omega, z, z)
+        m = relation(omega, z, z)
         assert float(m.array) == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_is_zero(self):
@@ -78,7 +87,7 @@ class TestComputeRelation:
         omega = tape.leaf(np.ones((4, 2)))
         a = vec(tape, [1.0, 0.0])
         b = vec(tape, [0.0, 1.0])
-        assert float(rel.compute_relation(omega, a, b).array) == pytest.approx(0.0, abs=1e-15)
+        assert float(relation(omega, a, b).array) == pytest.approx(0.0, abs=1e-15)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(3)
@@ -88,8 +97,8 @@ class TestComputeRelation:
             z1 = rng.normal(size=6)
             z2 = rng.normal(size=6)
             c = rng.uniform(1e-3, 10.0)
-            base = float(rel.compute_relation(omega, vec(tape, z1), vec(tape, z2)).array)
-            scaled = float(rel.compute_relation(omega, vec(tape, c * z1), vec(tape, z2)).array)
+            base = float(relation(omega, vec(tape, z1), vec(tape, z2)).array)
+            scaled = float(relation(omega, vec(tape, c * z1), vec(tape, z2)).array)
             assert abs(base - scaled) < 1e-9
 
     def test_all_ones_masks_reduce_to_plain_cosine(self):
@@ -98,7 +107,7 @@ class TestComputeRelation:
             tape = ad.Tape()
             omega = tape.leaf(np.ones((k, 8)))
             z1, z2 = rng.normal(size=8), rng.normal(size=8)
-            got = float(rel.compute_relation(omega, vec(tape, z1), vec(tape, z2)).array)
+            got = float(relation(omega, vec(tape, z1), vec(tape, z2)).array)
             assert abs(got - plain_cosine(z1, z2)) < 1e-12
 
     def test_zero_norm_contributes_zero_not_nan(self):
@@ -106,7 +115,7 @@ class TestComputeRelation:
         omega = tape.leaf(np.ones((2, 3)))
         z = vec(tape, [0.0, 0.0, 0.0])
         other = vec(tape, [1.0, 2.0, 3.0])
-        m = rel.compute_relation(omega, z, other)
+        m = relation(omega, z, other)
         assert float(m.array) == 0.0
 
     def test_mask_zeroing_one_head(self):
@@ -117,15 +126,17 @@ class TestComputeRelation:
         a = vec(tape, [1.0, 1.0])
         b = vec(tape, [1.0, 0.0])
         want = plain_cosine(np.array([1.0, 1.0]), np.array([1.0, 0.0])) / 2.0
-        assert float(rel.compute_relation(omega, a, b).array) == pytest.approx(want, abs=1e-12)
+        assert float(relation(omega, a, b).array) == pytest.approx(want, abs=1e-12)
 
     def test_shape_mismatch_rejected(self):
         tape = ad.Tape()
         omega = tape.leaf(np.ones((2, 3)))
         with pytest.raises(rel.RelationError, match="width"):
-            rel.compute_relation(omega, vec(tape, [1.0, 2.0]), vec(tape, [1.0, 2.0]))
+            rel.build_matrix(omega, [vec(tape, [1.0, 2.0]), vec(tape, [1.0, 2.0])])
         with pytest.raises(rel.RelationError, match="1-D"):
-            rel.compute_relation(omega, vec(tape, [[1.0, 2.0, 3.0]]), vec(tape, [[1.0, 2.0, 3.0]]))
+            rel.build_matrix(omega, [vec(tape, [[1.0, 2.0, 3.0]]), vec(tape, [[1.0, 2.0, 3.0]])])
+        with pytest.raises(rel.RelationError, match="1-D"):
+            rel.build_matrix(omega, [vec(tape, [1.0, 2.0, 3.0]), vec(tape, [1.0, 2.0])])
 
     def test_gradient_wrt_masks_matches_fd(self):
         rng = np.random.default_rng(5)
@@ -136,11 +147,11 @@ class TestComputeRelation:
             def f(flat):
                 tape = ad.Tape()
                 om = tape.leaf(flat.reshape(2, 4))
-                return float(rel.compute_relation(om, vec(tape, z1), vec(tape, z2)).array)
+                return float(relation(om, vec(tape, z1), vec(tape, z2)).array)
 
             tape = ad.Tape()
             om = tape.leaf(omega0)
-            m = rel.compute_relation(om, vec(tape, z1), vec(tape, z2))
+            m = relation(om, vec(tape, z1), vec(tape, z2))
             analytic = ad.backward(m)[om.index].array.ravel()
             numeric = finite_diff(f, omega0.ravel())
             assert rel_err(analytic, numeric) < 1e-4
@@ -153,11 +164,11 @@ class TestComputeRelation:
         def f(flat):
             tape = ad.Tape()
             om = tape.leaf(omega0)
-            return float(rel.compute_relation(om, tape.leaf(flat), vec(tape, z2)).array)
+            return float(relation(om, tape.leaf(flat), vec(tape, z2)).array)
 
         tape = ad.Tape()
         v1 = tape.leaf(z1)
-        m = rel.compute_relation(tape.leaf(omega0), v1, vec(tape, z2))
+        m = relation(tape.leaf(omega0), v1, vec(tape, z2))
         analytic = ad.backward(m)[v1.index].array
         assert rel_err(analytic, finite_diff(f, z1)) < 1e-4
 
@@ -215,6 +226,18 @@ class TestBuildMatrix:
         omega = tape.leaf(np.ones((1, 3)))
         with pytest.raises(rel.RelationError, match="at least 2"):
             rel.build_matrix(omega, [vec(tape, [1.0, 2.0, 3.0])])
+
+    def test_zero_norm_heads_warn_once_with_count(self, caplog):
+        # One zero representation among 4 tasks with 4 heads: its 3 pairs
+        # have 12 zero-norm masked cosines out of 24, reported once.
+        tape = ad.Tape()
+        omega = tape.leaf(np.ones((4, 3)))
+        reps = [vec(tape, [0.0, 0.0, 0.0])] + self.rand_reps(tape, np.random.default_rng(2), 3, 3)
+        with caplog.at_level(logging.WARNING, logger="relmeta.relation"):
+            rel.build_matrix(omega, reps)
+        assert [r.getMessage() for r in caplog.records] == [
+            "12 of 24 masked cosines had a zero-norm representation and contribute 0"
+        ]
 
     def test_diagonal_undefined(self):
         tape = ad.Tape()

@@ -6,6 +6,11 @@ import pytest
 import relmeta.tasks as tk
 
 
+def spread(xs):
+    """Smallest pairwise distance of a 1-D set of at least two points."""
+    return float(min(abs(a - b) for a, b in itertools.combinations(xs, 2)))
+
+
 def make_task(family="sinusoid", **params):
     """Hand-built noise-free task on a fixed x grid."""
     defaults = {
@@ -129,16 +134,16 @@ class TestMetadata:
         t.support_y = t.analytic(t.support_x)
         md = tk.extract_metadata(t, "scored", 2)
         assert sorted(md.support_x[:, 0]) == [0.0, 5.0]
-        assert md.score == pytest.approx(5.0)
+        assert spread(md.support_x[:, 0]) == pytest.approx(5.0)
 
     def test_scored_matches_brute_force(self):
         # Greedy spread must match exhaustive max-min search on small sets.
         def brute(xs, m):
             best = max(
                 itertools.combinations(range(len(xs)), m),
-                key=lambda c: tk._spread(xs[list(c)]),
+                key=lambda c: spread(xs[list(c)]),
             )
-            return tk._spread(xs[list(best)])
+            return spread(xs[list(best)])
 
         rng = np.random.default_rng(0)
         for _ in range(100):
@@ -146,7 +151,7 @@ class TestMetadata:
             t.support_x = rng.uniform(-5, 5, size=(7, 1))
             t.support_y = t.analytic(t.support_x)
             md = tk.extract_metadata(t, "scored", 2)
-            assert md.score == pytest.approx(brute(t.support_x[:, 0], 2), abs=1e-12)
+            assert spread(md.support_x[:, 0]) == pytest.approx(brute(t.support_x[:, 0], 2), abs=1e-12)
 
     def test_subset_membership(self):
         t = tk.gen_harmonic(4, 8, 8)
@@ -276,8 +281,8 @@ class TestTaskPool:
 class TestBatchAndDump:
     def test_batch_parallel_lists(self):
         src = tk.TaskSource("sinusoid", 10, 15, seed=0)
-        batch = tk.make_task_batch(src.train_batch(0, 0, 4), seed=0, batch_seed=(0, 0))
+        batch = tk.make_task_batch(src.train_batch(0, 0, 4), seed=0)
         assert len(batch) == 4
         assert all(md.support_x.shape == (10, 1) for md in batch.metadata)
         with pytest.raises(tk.TaskError, match="metadata"):
-            tk.TaskBatch(tasks=batch.tasks, metadata=batch.metadata[:2], batch_seed=None)
+            tk.TaskBatch(tasks=batch.tasks, metadata=batch.metadata[:2])
