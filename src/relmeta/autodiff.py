@@ -27,6 +27,8 @@ per meta-batch.
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
+
 import numpy as np
 
 
@@ -137,6 +139,13 @@ def _f_add(xs, _):
     return xs[0] + xs[1]
 
 
+def _f_add_n(xs, _):
+    total = xs[0]
+    for x in xs[1:]:
+        total = total + x
+    return total
+
+
 def _f_sub(xs, _):
     return xs[0] - xs[1]
 
@@ -243,6 +252,14 @@ def _f_slice(xs, extra):
     return np.ascontiguousarray(xs[0][tuple(index)])
 
 
+def _f_sgd_step(xs, extra):
+    # p - g * alpha, or p - r * g with rates r (the last parent); a
+    # first-order step holds its detached g in `extra` instead of a parent
+    alpha, fixed_g = extra
+    g = xs[1] if fixed_g is None else fixed_g
+    return xs[0] - g * alpha if alpha is not None else xs[0] - xs[-1] * g
+
+
 def _f_cosine(xs, _):
     u, v = xs
     return np.array(float(u @ v) / (np.linalg.norm(u) * np.linalg.norm(v)))
@@ -257,6 +274,7 @@ def _f_cosine_grad(xs, _):
 
 _FORWARD = {
     "add": _f_add,
+    "add-n": _f_add_n,
     "sub": _f_sub,
     "elementwise-mul": _f_mul,
     "div": _f_div,
@@ -282,6 +300,7 @@ _FORWARD = {
     "slice": _f_slice,
     "cosine-similarity": _f_cosine,
     "cosine-grad": _f_cosine_grad,
+    "sgd-step": _f_sgd_step,
 }
 
 
@@ -307,6 +326,25 @@ def _binary(op: str, a: Var, b: Var) -> Var:
 
 def add(a: Var, b: Var) -> Var:
     return _binary("add", a, b)
+
+
+def add_n(vars_) -> Var:
+    """Sum of the Vars, valued as the left fold ((v0 + v1) + v2) + ... of `add`.
+
+    One node for the whole sum; a single operand comes back unchanged.
+    """
+    vars_ = tuple(vars_)
+    if not vars_:
+        raise ShapeError("op 'add-n': needs at least one input")
+    if len(vars_) == 1:
+        return vars_[0]
+    tape = _same_tape("add-n", vars_)
+    try:
+        arr = _f_add_n([v.array for v in vars_], None)
+    except ValueError:
+        shapes = [v.shape for v in vars_]
+        raise ShapeError(f"op 'add-n': shapes {shapes} do not broadcast") from None
+    return tape._append("add-n", tuple(v.index for v in vars_), arr)
 
 
 def sub(a: Var, b: Var) -> Var:
@@ -482,6 +520,10 @@ def _v_add(out, ins, g, _, need):
             _unbroadcast(g, b.shape) if need[1] else None)
 
 
+def _v_add_n(out, ins, g, _, need):
+    return tuple(_unbroadcast(g, v.shape) if wanted else None for v, wanted in zip(ins, need))
+
+
 def _v_sub(out, ins, g, _, need):
     a, b = ins
     return (_unbroadcast(g, a.shape) if need[0] else None,
@@ -635,6 +677,24 @@ def _v_slice(out, ins, g, extra, need):
     return (concat(pieces, axis=axis) if len(pieces) > 1 else g,)
 
 
+def _v_sgd_step(out, ins, h, extra, need):
+    # the adjoints of the sub(p, smul(g, alpha)) and sub(p, mul(r, g)) chains
+    # this op replaces, with (h * -1) * alpha recorded as h * -alpha (same bits)
+    alpha, fixed_g = extra
+    gp = h if need[0] else None
+    if fixed_g is not None:  # first order: p, and r with rates
+        if alpha is not None:
+            return (gp,)
+        return (gp, mul(smul(h, -1.0), h.tape.constant(fixed_g)) if need[1] else None)
+    if alpha is not None:
+        return (gp, smul(h, -alpha) if need[1] else None)
+    if not (need[1] or need[2]):
+        return (gp, None, None)
+    neg = smul(h, -1.0)
+    gr = mul(neg, ins[1]) if need[2] else None
+    return (gp, mul(neg, ins[2]) if need[1] else None, gr)
+
+
 def _v_cosine(out, ins, g, _, need):
     # d cos / du = v/(|u||v|) - cos * u/|u|^2, times g: one cosine-grad node
     u, v = ins
@@ -662,6 +722,7 @@ def _v_cosine_grad(out, ins, h, _, need):
 
 _VJP = {
     "add": _v_add,
+    "add-n": _v_add_n,
     "sub": _v_sub,
     "elementwise-mul": _v_mul,
     "div": _v_div,
@@ -687,6 +748,7 @@ _VJP = {
     "slice": _v_slice,
     "cosine-similarity": _v_cosine,
     "cosine-grad": _v_cosine_grad,
+    "sgd-step": _v_sgd_step,
 }
 
 
@@ -699,11 +761,13 @@ def _walk(output: Var, seed, wanted: list) -> dict[int, Var]:
     The walk stops at wanted nodes as well as at leaves and constants.  It
     builds an adjoint toward a parent only when the parent's leaf mask
     meets the union of the wanted nodes' masks; when a wanted node depends
-    on no leaf, every adjoint is built.  Adjoints accumulate in strict
-    descending-index order, so the summation order is deterministic and
-    independent of graph construction details.  Wanted nodes the walk
-    never reaches get recorded zero constants, marked so downstream
-    consumers can tell them from detached values.
+    on no leaf, every adjoint is built.  It visits only the indices that
+    hold an adjoint, in strict descending order, so contributions arrive
+    in a deterministic order independent of graph construction details;
+    several contributions to one node are summed by one `add-n` node, in
+    arrival order, when the walk reaches it.  Wanted nodes the walk never
+    reaches get recorded zero constants, marked so downstream consumers
+    can tell them from detached values.
     """
     tape = output.tape
     nodes = tape.nodes
@@ -722,13 +786,18 @@ def _walk(output: Var, seed, wanted: list) -> dict[int, Var]:
             break
         need |= nodes[idx].mask
     found: dict[int, Var] = {}
-    adjoint: dict[int, Var] = {}
+    # index -> its one adjoint contribution, or the list of them; `pending`
+    # is a max-heap (negated indices) of the keys, popped in descending order
+    adjoint: dict = {}
+    pending: list[int] = []
     if need is None or nodes[output.index].mask & need:
         adjoint[output.index] = seed_var
-    for idx in range(output.index, -1, -1):
-        g = adjoint.pop(idx, None)
-        if g is None:
-            continue
+        pending.append(-output.index)
+    while pending:
+        idx = -heappop(pending)
+        g = adjoint.pop(idx)
+        if type(g) is list:
+            g = add_n(g)
         if idx in wanted_set:
             found[idx] = g
             continue
@@ -746,7 +815,13 @@ def _walk(output: Var, seed, wanted: list) -> dict[int, Var]:
             if gp is None:
                 continue
             cur = adjoint.get(parent)
-            adjoint[parent] = gp if cur is None else add(cur, gp)
+            if cur is None:
+                adjoint[parent] = gp
+                heappush(pending, -parent)
+            elif type(cur) is list:
+                cur.append(gp)
+            else:
+                adjoint[parent] = [cur, gp]
     for idx in wanted:
         if idx not in found:
             found[idx] = tape._append("const", (), np.zeros(nodes[idx].array.shape), _ZERO_GRAD)
@@ -784,10 +859,11 @@ def is_detached(v: Var) -> bool:
 def grad_through_update(params, inner_grads, alpha=0.01, first_order=False, rates=None):
     """Apply ``p <- p - a * g`` for each param and its inner gradient ``g``.
 
-    In second-order mode (default) the gradients must themselves be tape
-    nodes so a later backward pass flows through them; passing detached
-    gradients raises instead of silently degrading to first order.  With
-    ``first_order=True`` the gradients are detached before the update.
+    Each update is one `sgd-step` node.  In second-order mode (default) the
+    gradients must themselves be tape nodes so a later backward pass flows
+    through them; passing detached gradients raises instead of silently
+    degrading to first order.  With ``first_order=True`` the gradients
+    enter the update as constants.
 
     ``rates`` (elementwise learning-rate Vars, one per param) replaces the
     scalar ``alpha`` when given.
@@ -796,9 +872,7 @@ def grad_through_update(params, inner_grads, alpha=0.01, first_order=False, rate
     inner_grads = list(inner_grads)
     if len(inner_grads) != len(params):
         raise AutodiffError("grad_through_update: params and inner_grads lengths differ")
-    if first_order:
-        inner_grads = [detach(g) for g in inner_grads]
-    else:
+    if not first_order:
         for g in inner_grads:
             if is_detached(g):
                 raise DetachedGradientError(
@@ -806,7 +880,25 @@ def grad_through_update(params, inner_grads, alpha=0.01, first_order=False, rate
                     "pass first_order=True to request the first-order approximation explicitly"
                 )
     if rates is None:
-        return [sub(p, smul(g, alpha)) for p, g in zip(params, inner_grads)]
+        return [_sgd_step(p, g, None, float(alpha), first_order) for p, g in zip(params, inner_grads)]
     if len(rates) != len(params):
         raise AutodiffError("grad_through_update: params and rates lengths differ")
-    return [sub(p, mul(r, g)) for p, r, g in zip(params, rates, inner_grads)]
+    return [_sgd_step(p, g, r, None, first_order) for p, g, r in zip(params, inner_grads, rates)]
+
+
+def _sgd_step(p: Var, g: Var, r, alpha, first_order: bool) -> Var:
+    """One `sgd-step` node: p - g * alpha, or p - r * g with a rate Var r.
+
+    Second order makes g a parent.  First order keeps g's value in the
+    node instead, so the node carries p's leaf mask (and r's) only.
+    """
+    parents = (p,) if first_order else (p, g)
+    if r is not None:
+        parents += (r,)
+    extra = (alpha, g.array if first_order else None)
+    try:
+        arr = _f_sgd_step([v.array for v in parents], extra)
+    except ValueError:
+        raise ShapeError(f"op 'sgd-step': shapes {p.shape} and {g.shape} do not broadcast") from None
+    tape = _same_tape("sgd-step", parents)
+    return tape._append("sgd-step", tuple(v.index for v in parents), arr, extra)

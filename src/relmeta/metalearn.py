@@ -190,16 +190,15 @@ def trlearner_loss(adapted_models: list, matrix: rel.RelationMatrix, i: int, met
     tape = adapted_models[i].mv.tape
     x = tape.constant(metadata.query_x)
     y = tape.constant(metadata.query_y)
-    num = None
-    den = None
+    terms = []
+    weights = []
     for p in range(n):
         if p == i:
             continue
         w = matrix.weight_var(i, p)
-        term = ad.mul(w, adapted_models[p].predict(x))
-        num = term if num is None else ad.add(num, term)
-        den = w if den is None else ad.add(den, w)
-    return task_loss(ad.div(num, den), y)
+        terms.append(ad.mul(w, adapted_models[p].predict(x)))
+        weights.append(w)
+    return task_loss(ad.div(ad.add_n(terms), ad.add_n(weights)), y)
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +292,7 @@ def _record_batch(model: nn.MetaModel, layer, batch: tk.TaskBatch, config: MetaC
 
     query_losses = []
     tr_losses = [] if matrix is not None else None
-    total = None
+    terms = []
     for i in range(n):
         md = batch.metadata[i]
         x = tape.constant(md.query_x)
@@ -305,8 +304,8 @@ def _record_batch(model: nn.MetaModel, layer, batch: tk.TaskBatch, config: MetaC
             ltr = trlearner_loss(adapted, matrix, i, md)
             tr_losses.append(float(ltr.array))
             term = ad.add(lq, ad.smul(ltr, config.lam))
-        total = term if total is None else ad.add(total, term)
-    objective = ad.smul(total, 1.0 / n)
+        terms.append(term)
+    objective = ad.smul(ad.add_n(terms), 1.0 / n)
     return mv, omega_var, matrix, objective, query_losses, tr_losses
 
 

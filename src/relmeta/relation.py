@@ -98,17 +98,16 @@ def build_matrix(omega: ad.Var, representations: list) -> RelationMatrix:
     zero_heads = 0
     for i in range(n):
         for j in range(i + 1, n):
-            total = None
+            cosines = []
             for w_k in masks:
                 u = ad.mul(w_k, representations[i])
                 v = ad.mul(w_k, representations[j])
                 if np.linalg.norm(u.array) == 0.0 or np.linalg.norm(v.array) == 0.0:
                     zero_heads += 1
-                    c = omega.tape.constant(np.array(0.0))
+                    cosines.append(omega.tape.constant(np.array(0.0)))
                 else:
-                    c = ad.cosine_similarity(u, v)
-                total = c if total is None else ad.add(total, c)
-            pairs[(i, j)] = ad.smul(total, 1.0 / k)
+                    cosines.append(ad.cosine_similarity(u, v))
+            pairs[(i, j)] = ad.smul(ad.add_n(cosines), 1.0 / k)
     if zero_heads:
         log.warning("%d of %d masked cosines had a zero-norm representation and contribute 0",
                     zero_heads, k * len(pairs))
