@@ -53,14 +53,17 @@ class RelationMatrix:
 
     Entries stay on the tape so outer gradients reach the mask vectors
     (and, when enabled, the extractor through the representations).  The
-    diagonal is unused and reads as zero in the dense view.
+    diagonal is unused and reads as zero in the dense view.  Trust weights
+    and the dense view are built on first use and shared after that.
     """
 
-    __slots__ = ("n", "_pairs")
+    __slots__ = ("n", "_pairs", "_weights", "_dense")
 
     def __init__(self, n: int, pairs: dict):
         self.n = n
         self._pairs = pairs
+        self._weights = {}
+        self._dense = None
 
     def entry(self, i: int, j: int) -> ad.Var:
         if i == j:
@@ -68,14 +71,22 @@ class RelationMatrix:
         return self._pairs[(min(i, j), max(i, j))]
 
     def weight_var(self, i: int, j: int) -> ad.Var:
-        """Clamped trust weight max(m_ij, 0) + floor, as a tape Var."""
-        return ad.sadd(ad.relu(self.entry(i, j)), WEIGHT_FLOOR)
+        """Clamped trust weight max(m_ij, 0) + floor; one Var per unordered pair."""
+        key = (min(i, j), max(i, j))
+        w = self._weights.get(key)
+        if w is None:
+            w = self._weights[key] = ad.sadd(ad.relu(self.entry(i, j)), WEIGHT_FLOOR)
+        return w
 
     def values(self) -> np.ndarray:
-        m = np.zeros((self.n, self.n))
-        for (i, j), var in self._pairs.items():
-            m[i, j] = m[j, i] = float(var.array)
-        return m
+        """The dense matrix, diagonal 0; one read-only array per matrix."""
+        if self._dense is None:
+            m = np.zeros((self.n, self.n))
+            for (i, j), var in self._pairs.items():
+                m[i, j] = m[j, i] = float(var.array)
+            m.flags.writeable = False
+            self._dense = m
+        return self._dense
 
 
 def build_matrix(omega: ad.Var, representations: list) -> RelationMatrix:
@@ -94,19 +105,22 @@ def build_matrix(omega: ad.Var, representations: list) -> RelationMatrix:
         raise RelationError(f"mask width {omega.shape} does not match representation width {shapes[0]}")
     k, width = omega.shape
     masks = [ad.reshape(ad.slice_axis(omega, 0, h, h + 1), (width,)) for h in range(k)]
+    # one masked representation per (head, task); None where its norm is 0
+    masked = []
+    for w_k in masks:
+        row = [ad.mul(w_k, z) for z in representations]
+        masked.append([u if np.linalg.norm(u.array) != 0.0 else None for u in row])
     pairs = {}
     zero_heads = 0
     for i in range(n):
         for j in range(i + 1, n):
             cosines = []
-            for w_k in masks:
-                u = ad.mul(w_k, representations[i])
-                v = ad.mul(w_k, representations[j])
-                if np.linalg.norm(u.array) == 0.0 or np.linalg.norm(v.array) == 0.0:
+            for row in masked:
+                if row[i] is None or row[j] is None:
                     zero_heads += 1
                     cosines.append(omega.tape.constant(np.array(0.0)))
                 else:
-                    cosines.append(ad.cosine_similarity(u, v))
+                    cosines.append(ad.cosine_similarity(row[i], row[j]))
             pairs[(i, j)] = ad.smul(ad.add_n(cosines), 1.0 / k)
     if zero_heads:
         log.warning("%d of %d masked cosines had a zero-norm representation and contribute 0",
