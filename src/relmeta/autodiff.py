@@ -16,9 +16,10 @@ Each node also records, as an int bitmask, which leaves it depends on
 (leaf k sets bit k; constants are 0).  A reverse walk builds adjoints only
 toward parents that share a leaf with one of the nodes it was asked for,
 so no VJP is recorded toward data, masks or a frozen sub-graph.  A few
-fused ops (`matmul` with transposed operands, `affine`, `mse` and the
-tanh and cosine VJPs) stand for chains of primitives: each computes the
-same float expression the chain did, in one node.
+fused ops (`matmul` with transposed operands, `affine`, `mse`, `add_n`,
+the `sgd-step` update and the tanh and cosine VJPs) stand for chains of
+primitives: each computes the same float expression the chain did, in
+one node.
 
 A tape is single-owner: record and differentiate from one execution
 context.  Independent tapes are cheap; the training loop makes a fresh one

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -384,6 +386,53 @@ class TestGradThroughUpdate:
         _, u1 = ad.grad_through_update([p, unused], gs, alpha=0.1)
         assert np.array_equal(u1.array, unused.array)
 
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), with_rates=st.booleans())
+    def test_sgd_step_is_bitwise_the_sub_chain_on_mlp(self, seed, with_rates):
+        # forward and second-order outer gradient against sub(p, smul(g, a))
+        # and sub(p, mul(r, g)), recorded on a tape of their own
+        rng = np.random.default_rng(seed)
+        alpha = 0.05
+        arrs = [rng.normal(size=s) * 0.5 for s in [(1, 3), (3,), (3, 1), (1,)]]
+        rates = [rng.uniform(0.01, 0.1, size=a.shape) for a in arrs] if with_rates else None
+        data = [rng.uniform(-2, 2, size=(4, 1)), rng.normal(size=(4, 1)),
+                rng.uniform(-2, 2, size=(4, 1)), rng.normal(size=(4, 1))]
+
+        def one_step(update):
+            t = ad.Tape()
+            params = [t.leaf(a) for a in arrs]
+            rs = [t.leaf(r) for r in rates] if with_rates else None
+            xs, ys, xq, yq = (t.constant(d) for d in data)
+            adapted = update(params, ad.grad(scalar_mlp_loss(t, params, xs, ys), params), rs)
+            outer = scalar_mlp_loss(t, adapted, xq, yq)
+            grads = ad.grad(outer, params + (rs or []))
+            return [v.array.tobytes() for v in adapted + [outer] + grads]
+
+        def chain(params, grads, rs):
+            if rs is None:
+                return [ad.sub(p, ad.smul(g, alpha)) for p, g in zip(params, grads)]
+            return [ad.sub(p, ad.mul(r, g)) for p, r, g in zip(params, rs, grads)]
+
+        fused = one_step(lambda ps, gs, rs: ad.grad_through_update(ps, gs, alpha=alpha, rates=rs))
+        assert fused == one_step(chain)
+
+    def test_first_order_step_carries_only_p_mask(self):
+        # g depends on q too; the first-order step must not: no VJP toward q
+        tape = ad.Tape()
+        p, q, r = tape.leaf([1.0, -2.0]), tape.leaf([0.5, 3.0]), tape.leaf([0.1, 0.2])
+        (g,) = ad.grad(ad.vsum(ad.mul(ad.square(p), q)), [p])
+        mask = tape.nodes[p.index].mask
+        before = len(tape)
+        (p1,) = ad.grad_through_update([p], [g], alpha=0.1, first_order=True)
+        (p2,) = ad.grad_through_update([p], [g], first_order=True, rates=[r])
+        assert [n.op for n in tape.nodes[before:]] == ["sgd-step", "sgd-step"]
+        assert tape.nodes[p1.index].mask == mask
+        assert tape.nodes[p2.index].mask == mask | tape.nodes[r.index].mask
+        assert np.array_equal(p2.array, p.array - r.array * g.array)
+        grads = ad.backward(ad.vsum(ad.square(p2)))
+        assert np.array_equal(grads[q.index].array, [0.0, 0.0])
+        assert np.array_equal(grads[r.index].array, -2.0 * p2.array * g.array)
+
     def test_second_order_matches_fd_on_mlp(self):
         # composed outer loss after one recorded inner step, rel-err 1e-3
         for seed in range(10):
@@ -472,7 +521,8 @@ def _old_cosine_chain(vs):
 def fused_cases(draw):
     """(name, operand shapes, fused builder, primitive-chain builder)."""
     n, k, m = (draw(st.integers(1, 4)) for _ in range(3))
-    kind = draw(st.sampled_from(["matmul", "affine", "mse", "tanh-vjp", "cosine-vjp"]))
+    kind = draw(st.sampled_from(["matmul", "affine", "mse", "tanh-vjp", "cosine-vjp", "add-n",
+                                 "sgd-step", "sgd-step-rates"]))
     if kind == "matmul":
         ta, tb = draw(st.booleans()), draw(st.booleans())
         shapes = [(k, n) if ta else (n, k), (m, k) if tb else (k, m)]
@@ -488,6 +538,18 @@ def fused_cases(draw):
     if kind == "tanh-vjp":
         return ("tanh-vjp", [(n, m)] * 2, _tanh_vjp,
                 lambda vs: ad.sub(vs[1], ad.mul(vs[1], ad.square(ad.tanh(vs[0])))))
+    if kind == "add-n":
+        count = draw(st.integers(1, 6))
+        return (f"add-n({count})", [(n, m)] * count, ad.add_n, lambda vs: functools.reduce(ad.add, vs))
+    if kind == "sgd-step":
+        # g is a recorded function of the second operand, as an inner gradient is
+        return ("sgd-step", [(n, m)] * 2,
+                lambda vs: ad.grad_through_update([vs[0]], [ad.sin(vs[1])], alpha=0.3)[0],
+                lambda vs: ad.sub(vs[0], ad.smul(ad.sin(vs[1]), 0.3)))
+    if kind == "sgd-step-rates":
+        return ("sgd-step-rates", [(n, m)] * 3,
+                lambda vs: ad.grad_through_update([vs[0]], [ad.sin(vs[1])], rates=[vs[2]])[0],
+                lambda vs: ad.sub(vs[0], ad.mul(vs[2], ad.sin(vs[1]))))
     return ("cosine-vjp", [(k + 1,)] * 2, _cosine_vjp, _old_cosine_chain)
 
 
@@ -632,6 +694,32 @@ class TestPrunedWalk:
         (gy,) = ad.grad(f, [y])
         assert np.array_equal(gy.array, [0.0]) and not ad.is_detached(gy)
         assert [n.op for n in tape.nodes[before:]] == ["const", "const"]  # seed, zero
+
+    def test_walk_visits_only_indices_with_an_adjoint(self, monkeypatch):
+        # nodes that no adjoint reaches (the tanh chain) are never visited
+        visited = []
+        pop = ad.heappop
+        monkeypatch.setattr(ad, "heappop", lambda heap: visited.append(-heap[0]) or pop(heap))
+        tape = ad.Tape()
+        x, y = tape.leaf([1.0, -2.0]), tape.leaf([0.5])
+        h = y
+        for _ in range(20):
+            h = ad.tanh(h)
+        s = ad.square(x)
+        f = ad.vsum(s)
+        (gx,) = ad.grad(f, [x])
+        assert visited == [f.index, s.index, x.index]
+        assert np.array_equal(gx.array, [2.0, -4.0])
+
+    def test_contributions_sum_in_one_add_n_node(self):
+        tape = ad.Tape()
+        x = tape.leaf([1.0, -2.0])
+        before = len(tape)
+        f = ad.vsum(ad.add(ad.mul(x, x), x))   # x reached three times
+        (gx,) = ad.grad(f, [x])
+        added = [n for n in tape.nodes[before:] if n.op in ("add", "add-n")]
+        assert [(n.op, len(n.parents)) for n in added] == [("add", 2), ("add-n", 3)]
+        assert np.array_equal(gx.array, [3.0, -3.0])
 
     def test_anil_evaluation_records_no_vjp_toward_extractor(self, monkeypatch):
         calls = []

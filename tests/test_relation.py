@@ -221,6 +221,39 @@ class TestBuildMatrix:
             assert np.array_equal(m, m.T)
             assert np.all(m >= -1.0 - 1e-12) and np.all(m <= 1.0 + 1e-12)
 
+    def test_one_masked_product_per_head_and_task(self):
+        n, k = 5, 3
+        tape = ad.Tape()
+        omega = tape.leaf(np.random.default_rng(5).uniform(0.5, 1.5, size=(k, 4)))
+        reps = self.rand_reps(tape, np.random.default_rng(6), n, 4)
+        before = len(tape)
+        rel.build_matrix(omega, reps)
+        ops = [node.op for node in tape.nodes[before:]]
+        assert ops.count("elementwise-mul") == k * n
+        assert ops.count("cosine-similarity") == k * n * (n - 1) // 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 6), k=st.integers(1, 4),
+           width=st.integers(1, 6))
+    def test_values_are_bitwise_the_per_pair_products(self, seed, n, k, width):
+        # the per-pair form: both masked products recorded again for every pair
+        rng = np.random.default_rng(seed)
+        omega0 = rng.uniform(0.1, 3.0, size=(k, width))
+        zs = [rng.normal(size=width) for _ in range(n)]
+        tape = ad.Tape()
+        omega = tape.leaf(omega0)
+        reps = [vec(tape, z) for z in zs]
+        masks = [ad.reshape(ad.slice_axis(omega, 0, h, h + 1), (width,)) for h in range(k)]
+        want = np.zeros((n, n))
+        for i in range(n):
+            for j in range(i + 1, n):
+                total = None
+                for w_k in masks:
+                    c = ad.cosine_similarity(ad.mul(w_k, reps[i]), ad.mul(w_k, reps[j]))
+                    total = c if total is None else ad.add(total, c)
+                want[i, j] = want[j, i] = float(ad.smul(total, 1.0 / k).array)
+        assert rel.build_matrix(omega, reps).values().tobytes() == want.tobytes()
+
     def test_rejects_single_task(self):
         tape = ad.Tape()
         omega = tape.leaf(np.ones((1, 3)))
@@ -319,6 +352,22 @@ class TestWeights:
             for j in range(3):
                 if i != j:
                     assert float(matrix.weight_var(i, j).array) == pytest.approx(dense[i, j], abs=1e-15)
+
+    def test_weight_var_recorded_once_per_pair(self):
+        tape = ad.Tape()
+        omega = tape.leaf(np.ones((2, 3)))
+        rng = np.random.default_rng(4)
+        matrix = rel.build_matrix(omega, [tape.leaf(rng.normal(size=3)) for _ in range(3)])
+        before = len(tape)
+        w = matrix.weight_var(0, 2)
+        assert matrix.weight_var(2, 0) is w and matrix.weight_var(0, 2) is w
+        assert [node.op for node in tape.nodes[before:]] == ["relu", "scalar-add"]
+
+    def test_dense_view_built_once_read_only(self):
+        matrix = self.make_matrix({(0, 1): 0.4, (0, 2): -0.2, (1, 2): 0.9})
+        dense = matrix.values()
+        assert matrix.values() is dense and not dense.flags.writeable
+        assert rel.export_normalized(matrix)[1, 2] == pytest.approx((0.9 + 1e-6) / (1.3 + 2e-6), abs=1e-15)
 
     def test_normalized_two_tasks(self):
         matrix = self.make_matrix({(0, 1): 0.37})

@@ -13,6 +13,13 @@ median and quartiles of every end-to-end metric on each side over the
 `--trace 0` pairs, the pairs the change won, and one `--trace 1` run's
 per-layer metrics per side; plus both SHAs, the lines of `src/` on each
 side, the Python and numpy versions, `nproc` and the acceptance time.
+
+Each end-to-end metric also gets a verdict.  `gain`: the change won at
+least nine tenths of the pairs (ties count for neither side) and its
+median is better than the parent's by more than the parent's
+interquartile range.  `regression`: the change's median is worse than the
+parent's by more than the metric's relative bound in BENCHMARK.json.
+Anything else is `unresolved`.
 """
 
 from __future__ import annotations
@@ -64,10 +71,23 @@ def _quartiles(values: list) -> dict:
     return {"q1": q1, "median": median, "q3": q3}
 
 
+def verdict(parent: dict, change: dict, wins: int, pairs: int, better: str, bound: float) -> str:
+    """`gain`, `regression` or `unresolved` for one metric; `parent` and
+    `change` are `_quartiles` dicts, `bound` a relative worsening."""
+    sign = 1.0 if better == "higher" else -1.0
+    diff = sign * (change["median"] - parent["median"])
+    if pairs and wins >= 0.9 * pairs and diff > parent["q3"] - parent["q1"]:
+        return "gain"
+    if -diff > bound * abs(parent["median"]):
+        return "regression"
+    return "unresolved"
+
+
 def build(args) -> int:
     lines = [json.loads(line) for line in Path(args.pairs).read_text().splitlines() if line.strip()]
     bench = json.loads((Path(__file__).resolve().parent.parent / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
     envs = {side: [line["env"] for line in lines if line["side"] == side] for side in SIDES}
     record = {
         "git_sha": {side: envs[side][-1]["git_sha"] for side in SIDES},
@@ -97,8 +117,11 @@ def build(args) -> int:
             wins = sum((p["change"][name]["value"] > p["parent"][name]["value"])
                        == (direction == "higher") for p in pairs
                        if p["change"][name]["value"] != p["parent"][name]["value"])
-            entry["end_to_end"][name] = dict(sides, pairs=len(pairs), change_wins=wins,
-                                             unit=pairs[0]["change"][name]["unit"] if pairs else None)
+            entry["end_to_end"][name] = dict(
+                sides, pairs=len(pairs), change_wins=wins,
+                unit=pairs[0]["change"][name]["unit"] if pairs else None,
+                verdict=verdict(sides["parent"], sides["change"], wins, len(pairs),
+                                direction, bounds[name]))
         traced = {line["side"]: line["result"]["metrics"] for line in mine if line["trace"] == 1}
         entry["per_layer"] = {side: {k: m["value"] for k, m in traced[side].items()}
                               for side in SIDES if side in traced}
