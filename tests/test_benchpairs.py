@@ -65,6 +65,16 @@ def test_regression_is_a_median_worse_than_the_bound(tmp_path, name, worse, fine
     assert _build(tmp_path, parent, [{name: fine}] * 5)[name]["verdict"] == "unresolved"
 
 
+def test_a_traced_pair_alone_has_no_end_to_end_entry(tmp_path):
+    src = tmp_path / "pairs.jsonl"
+    src.write_text("".join(json.dumps(_line(side, 0, {}, trace=1)) + "\n"
+                           for side in benchpairs.SIDES))
+    out = tmp_path / "bench.json"
+    assert benchpairs.main(["build", str(src), "--out", str(out)]) == 0
+    entry = json.loads(out.read_text())["workloads"]["w"]
+    assert entry["end_to_end"] == {} and set(entry["per_layer"]) == set(benchpairs.SIDES)
+
+
 def test_ties_count_for_neither_side(tmp_path):
     got = _build(tmp_path, [{} for _ in range(10)], [{} for _ in range(10)])
     assert {m["change_wins"] for m in got.values()} == {0}

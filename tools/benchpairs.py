@@ -112,7 +112,7 @@ def build(args) -> int:
         for line in timed:
             by_pair.setdefault(line["pair"], {})[line["side"]] = line["result"]["metrics"]
         pairs = [p for p in by_pair.values() if len(p) == 2]
-        for name, direction in better.items():
+        for name, direction in better.items() if pairs else ():
             sides = {side: _quartiles([p[side][name]["value"] for p in pairs]) for side in SIDES}
             wins = sum((p["change"][name]["value"] > p["parent"][name]["value"])
                        == (direction == "higher") for p in pairs
