@@ -76,7 +76,7 @@ def verdict(parent: dict, change: dict, wins: int, pairs: int, better: str, boun
     `change` are `_quartiles` dicts, `bound` a relative worsening."""
     sign = 1.0 if better == "higher" else -1.0
     diff = sign * (change["median"] - parent["median"])
-    if pairs and wins >= 0.9 * pairs and diff > parent["q3"] - parent["q1"]:
+    if wins >= 0.9 * pairs and diff > parent["q3"] - parent["q1"]:
         return "gain"
     if -diff > bound * abs(parent["median"]):
         return "regression"
@@ -119,7 +119,7 @@ def build(args) -> int:
                        if p["change"][name]["value"] != p["parent"][name]["value"])
             entry["end_to_end"][name] = dict(
                 sides, pairs=len(pairs), change_wins=wins,
-                unit=pairs[0]["change"][name]["unit"] if pairs else None,
+                unit=pairs[0]["change"][name]["unit"],
                 verdict=verdict(sides["parent"], sides["change"], wins, len(pairs),
                                 direction, bounds[name]))
         traced = {line["side"]: line["result"]["metrics"] for line in mine if line["trace"] == 1}
