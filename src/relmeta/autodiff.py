@@ -2,7 +2,9 @@
 
 Values are dense float64 tensors.  Every primitive operation appends one
 node to a :class:`Tape`; a node only references lower-indexed nodes, so a
-plain reverse walk implements backpropagation.
+plain reverse walk implements backpropagation.  Every op other than a leaf
+or a constant is recorded by `_record`, which takes the node's value from
+the op's `_FORWARD` entry, the same function `Tape.replay` calls.
 
 The distinguishing feature is that the backward pass itself is *recorded*:
 each op's vector-Jacobian product is built out of the same primitives, so
@@ -16,10 +18,10 @@ Each node also records, as an int bitmask, which leaves it depends on
 (leaf k sets bit k; constants are 0).  A reverse walk builds adjoints only
 toward parents that share a leaf with one of the nodes it was asked for,
 so no VJP is recorded toward data, masks or a frozen sub-graph.  A few
-fused ops (`matmul` with transposed operands, `affine`, `mse`, `add_n`,
-the `sgd-step` update and the tanh and cosine VJPs) stand for chains of
-primitives: each computes the same float expression the chain did, in
-one node.
+fused ops (`matmul` with transposed operands, `affine`, `mse`, the n-ary
+`add` of `add_n`, the `sgd-step` update and the tanh and cosine VJPs)
+stand for chains of primitives: each computes the same float expression
+the chain did, in one node.
 
 A tape is single-owner: record and differentiate from one execution
 context.  Independent tapes are cheap; the training loop makes a fresh one
@@ -126,6 +128,8 @@ class Tape:
 
 
 def _same_tape(op: str, vars_: tuple) -> Tape:
+    if not vars_:
+        raise ShapeError(f"op '{op}': needs at least one input")
     tape = vars_[0].tape
     for v in vars_[1:]:
         if v.tape is not tape:
@@ -137,12 +141,8 @@ def _same_tape(op: str, vars_: tuple) -> Tape:
 # forward implementations (shared by record-time eval and tape replay)
 
 def _f_add(xs, _):
-    return xs[0] + xs[1]
-
-
-def _f_add_n(xs, _):
-    total = xs[0]
-    for x in xs[1:]:
+    total = xs[0] + xs[1]
+    for x in xs[2:]:
         total = total + x
     return total
 
@@ -275,7 +275,6 @@ def _f_cosine_grad(xs, _):
 
 _FORWARD = {
     "add": _f_add,
-    "add-n": _f_add_n,
     "sub": _f_sub,
     "elementwise-mul": _f_mul,
     "div": _f_div,
@@ -309,65 +308,61 @@ _FORWARD = {
 # ops API
 
 def _record(op: str, vars_: tuple, extra=None) -> Var:
-    """Record `op` on `vars_`; its value comes from _FORWARD."""
-    tape = _same_tape(op, vars_)
-    arr = _FORWARD[op]([v.array for v in vars_], extra)
-    return tape._append(op, tuple(v.index for v in vars_), arr, extra)
+    """Record `op` on `vars_`, the one path for every non-terminal op.
 
-
-def _binary(op: str, a: Var, b: Var) -> Var:
-    """Record a broadcasting elementwise op; its value comes from _FORWARD."""
+    The value comes from _FORWARD; numpy's ValueError on operands it cannot
+    combine becomes a ShapeError that names the op and the operand shapes."""
+    # one- and two-operand ops are most of a tape: they build no list
+    n = len(vars_)
+    if n == 1:
+        a = vars_[0]
+        tape, arrays, parents = a.tape, (a.array,), (a.index,)
+    elif n == 2:
+        a, b = vars_
+        tape, arrays, parents = _same_tape(op, vars_), (a.array, b.array), (a.index, b.index)
+    else:
+        tape = _same_tape(op, vars_)
+        arrays = [v.array for v in vars_]
+        parents = tuple([v.index for v in vars_])
     try:
-        arr = _FORWARD[op]((a.array, b.array), None)
-    except ValueError:
-        raise ShapeError(f"op '{op}': shapes {a.shape} and {b.shape} do not broadcast") from None
-    tape = _same_tape(op, (a, b))
-    return tape._append(op, (a.index, b.index), arr)
+        arr = _FORWARD[op](arrays, extra)
+    except ValueError as exc:
+        shapes = ", ".join(str(v.shape) for v in vars_)
+        raise ShapeError(f"op '{op}': shapes {shapes} do not broadcast or fit ({exc})") from None
+    return tape._append(op, parents, arr, extra)
 
 
 def add(a: Var, b: Var) -> Var:
-    return _binary("add", a, b)
+    return _record("add", (a, b))
 
 
 def add_n(vars_) -> Var:
     """Sum of the Vars, valued as the left fold ((v0 + v1) + v2) + ... of `add`.
 
-    One node for the whole sum; a single operand comes back unchanged.
+    One `add` node for the whole sum; a single operand comes back unchanged.
     """
     vars_ = tuple(vars_)
-    if not vars_:
-        raise ShapeError("op 'add-n': needs at least one input")
-    if len(vars_) == 1:
-        return vars_[0]
-    tape = _same_tape("add-n", vars_)
-    try:
-        arr = _f_add_n([v.array for v in vars_], None)
-    except ValueError:
-        shapes = [v.shape for v in vars_]
-        raise ShapeError(f"op 'add-n': shapes {shapes} do not broadcast") from None
-    return tape._append("add-n", tuple(v.index for v in vars_), arr)
+    return vars_[0] if len(vars_) == 1 else _record("add", vars_)
 
 
 def sub(a: Var, b: Var) -> Var:
-    return _binary("sub", a, b)
+    return _record("sub", (a, b))
 
 
 def mul(a: Var, b: Var) -> Var:
-    return _binary("elementwise-mul", a, b)
+    return _record("elementwise-mul", (a, b))
 
 
 def div(a: Var, b: Var) -> Var:
-    return _binary("div", a, b)
+    return _record("div", (a, b))
 
 
 def smul(a: Var, c: float) -> Var:
-    c = float(c)
-    return a.tape._append("scalar-mul", (a.index,), a.array * c, c)
+    return _record("scalar-mul", (a,), float(c))
 
 
 def sadd(a: Var, c: float) -> Var:
-    c = float(c)
-    return a.tape._append("scalar-add", (a.index,), a.array + c, c)
+    return _record("scalar-add", (a,), float(c))
 
 
 def matmul(a: Var, b: Var, ta: bool = False, tb: bool = False) -> Var:
@@ -401,83 +396,66 @@ def mse(pred: Var, y: Var) -> Var:
 def transpose(a: Var) -> Var:
     if a.array.ndim != 2:
         raise ShapeError(f"op 'transpose': expected 2-D, got shape {a.shape}")
-    return a.tape._append("transpose", (a.index,), np.ascontiguousarray(a.array.T))
+    return _record("transpose", (a,))
 
 
 def reshape(a: Var, shape) -> Var:
-    shape = tuple(shape)
-    return a.tape._append("reshape", (a.index,), np.asarray(a.array.reshape(shape), order="C"), shape)
+    return _record("reshape", (a,), tuple(shape))
 
 
 def broadcast_to(a: Var, shape) -> Var:
-    shape = tuple(shape)
-    try:
-        arr = np.broadcast_to(a.array, shape)
-    except ValueError:
-        raise ShapeError(f"op 'broadcast': cannot broadcast {a.shape} to {shape}") from None
-    return a.tape._append("broadcast", (a.index,), np.asarray(arr, order="C"), shape)
+    return _record("broadcast", (a,), tuple(shape))
 
 
-def _norm_axis(axis, ndim):
+def _norm_axis(op: str, axis, ndim: int):
+    """`axis` (None, an int or a tuple) as non-negative axes of an ndim-D operand."""
     if axis is None:
         return None
-    if isinstance(axis, int):
-        axis = (axis,)
-    return tuple(ax % ndim for ax in axis)
+    axes = (axis,) if isinstance(axis, int) else tuple(axis)
+    if axes and (min(axes) < -ndim or max(axes) >= ndim):
+        raise ShapeError(f"op '{op}': axis {axis} is out of range for a {ndim}-D operand")
+    return tuple(ax % ndim for ax in axes)
 
 
 def vsum(a: Var, axis=None) -> Var:
-    axis = _norm_axis(axis, a.array.ndim)
-    extra = (axis, a.shape)
-    return a.tape._append("sum", (a.index,), np.sum(a.array, axis=axis), extra)
+    return _record("sum", (a,), (_norm_axis("sum", axis, a.array.ndim), a.shape))
 
 
 def mean(a: Var, axis=None) -> Var:
-    axis = _norm_axis(axis, a.array.ndim)
-    extra = (axis, a.shape)
-    return a.tape._append("mean", (a.index,), np.mean(a.array, axis=axis), extra)
+    return _record("mean", (a,), (_norm_axis("mean", axis, a.array.ndim), a.shape))
 
 
 def tanh(a: Var) -> Var:
-    return a.tape._append("tanh", (a.index,), np.tanh(a.array))
+    return _record("tanh", (a,))
 
 
 def relu(a: Var) -> Var:
-    return a.tape._append("relu", (a.index,), np.maximum(a.array, 0.0))
+    return _record("relu", (a,))
 
 
 def sin(a: Var) -> Var:
-    return a.tape._append("sin", (a.index,), np.sin(a.array))
+    return _record("sin", (a,))
 
 
 def cos(a: Var) -> Var:
-    return a.tape._append("cos", (a.index,), np.cos(a.array))
+    return _record("cos", (a,))
 
 
 def square(a: Var) -> Var:
-    return a.tape._append("square", (a.index,), np.square(a.array))
+    return _record("square", (a,))
 
 
 def rsqrt(a: Var) -> Var:
-    return a.tape._append("rsqrt", (a.index,), 1.0 / np.sqrt(a.array))
+    return _record("rsqrt", (a,))
 
 
 def concat(vars_, axis: int = 0) -> Var:
-    vars_ = tuple(vars_)
-    if not vars_:
-        raise ShapeError("op 'concat': needs at least one input")
-    tape = _same_tape("concat", vars_)
-    try:
-        arr = np.concatenate([v.array for v in vars_], axis=axis)
-    except ValueError:
-        shapes = [v.shape for v in vars_]
-        raise ShapeError(f"op 'concat': incompatible shapes {shapes} along axis {axis}") from None
-    return tape._append("concat", tuple(v.index for v in vars_), arr, axis)
+    return _record("concat", tuple(vars_), axis)
 
 
 def slice_axis(a: Var, axis: int, start: int, stop: int) -> Var:
-    extra = (axis, start, stop)
-    return a.tape._append("slice", (a.index,), _f_slice([a.array], extra), extra)
+    (axis,) = _norm_axis("slice", axis, a.array.ndim)
+    return _record("slice", (a,), (axis, start, stop))
 
 
 def cosine_similarity(u: Var, v: Var) -> Var:
@@ -516,12 +494,6 @@ def _unbroadcast(g: Var, shape: tuple) -> Var:
 
 
 def _v_add(out, ins, g, _, need):
-    a, b = ins
-    return (_unbroadcast(g, a.shape) if need[0] else None,
-            _unbroadcast(g, b.shape) if need[1] else None)
-
-
-def _v_add_n(out, ins, g, _, need):
     return tuple(_unbroadcast(g, v.shape) if wanted else None for v, wanted in zip(ins, need))
 
 
@@ -723,7 +695,6 @@ def _v_cosine_grad(out, ins, h, _, need):
 
 _VJP = {
     "add": _v_add,
-    "add-n": _v_add_n,
     "sub": _v_sub,
     "elementwise-mul": _v_mul,
     "div": _v_div,
@@ -765,7 +736,7 @@ def _walk(output: Var, seed, wanted: list) -> dict[int, Var]:
     on no leaf, every adjoint is built.  It visits only the indices that
     hold an adjoint, in strict descending order, so contributions arrive
     in a deterministic order independent of graph construction details;
-    several contributions to one node are summed by one `add-n` node, in
+    several contributions to one node are summed by one n-ary `add` node, in
     arrival order, when the walk reaches it.  Wanted nodes the walk never
     reaches get recorded zero constants, marked so downstream consumers
     can tell them from detached values.
@@ -896,10 +867,4 @@ def _sgd_step(p: Var, g: Var, r, alpha, first_order: bool) -> Var:
     parents = (p,) if first_order else (p, g)
     if r is not None:
         parents += (r,)
-    extra = (alpha, g.array if first_order else None)
-    try:
-        arr = _f_sgd_step([v.array for v in parents], extra)
-    except ValueError:
-        raise ShapeError(f"op 'sgd-step': shapes {p.shape} and {g.shape} do not broadcast") from None
-    tape = _same_tape("sgd-step", parents)
-    return tape._append("sgd-step", tuple(v.index for v in parents), arr, extra)
+    return _record("sgd-step", parents, (alpha, g.array if first_order else None))

@@ -254,6 +254,28 @@ def _write_log(out_dir, run_records: list) -> None:
                 fh.write(json.dumps(line, sort_keys=True) + "\n")
 
 
+def _run_specs(specs, on_run=None) -> tuple:
+    """One ResultRow per spec from its seeded runs, and the failure message or None.
+
+    `on_run(spec, outcome)` sees each finished run; no outcome is kept.  The
+    first run that raises ends the sequence; its spec's finished runs still
+    make a row, so callers write the finished rows before raising RunError."""
+    rows = []
+    for spec in specs:
+        per_run = []
+        for run_index in range(spec.runs):
+            try:
+                outcome = single_run(spec, run_index)
+            except Exception as exc:  # any aborted run must flag partial output
+                rows += [ResultRow(spec, per_run)] if per_run else []
+                return rows, f"run {run_index} (seed {spec.seed + run_index}) failed: {exc}"
+            if on_run is not None:
+                on_run(spec, outcome)
+            per_run.append(outcome["mse"])
+        rows.append(ResultRow(spec, per_run))
+    return rows, None
+
+
 def run_benchmark(spec: ExperimentSpec, out_dir=None) -> list:
     """Execute spec.runs seeded cycles; write results.csv/log.jsonl/summary.txt.
 
@@ -262,32 +284,26 @@ def run_benchmark(spec: ExperimentSpec, out_dir=None) -> list:
     """
     out = _ensure_out(spec, out_dir)
     echo_config(spec, out)
-    per_run, run_records, failure = [], [], None
-    first = None
+    run_records = []
     started = time.perf_counter()
-    for run_index in range(spec.runs):
-        try:
-            outcome = single_run(spec, run_index)
-        except Exception as exc:  # any aborted run must flag partial output
-            failure = f"run {run_index} (seed {spec.seed + run_index}) failed: {exc}"
-            break
-        per_run.append(outcome["mse"])
-        run_records.append((run_index, outcome["seed"], outcome["records"]))
-        if first is None:
-            first = outcome
-    seconds = time.perf_counter() - started if spec.timing else None
-    rows = [ResultRow(spec, per_run, seconds)] if per_run else []
+    rows, failure = _run_specs([spec], lambda _, outcome: run_records.append(
+        (len(run_records), outcome["seed"], outcome["records"])))
+    if rows and spec.timing:
+        rows[0].seconds = time.perf_counter() - started
     write_results_csv(rows, out / "results.csv")
     _write_log(out, run_records)
-    lines = [summary_line(row) for row in rows]
-    if failure:
-        lines.append(f"PARTIAL: {failure}")
+    if run_records and spec.log_matrix_every > 0:
+        export_heatmaps(run_records[0][2], out)
+    _write_summary(out, [summary_line(row) for row in rows], failure)
+    return rows
+
+
+def _write_summary(out, lines: list, failure) -> None:
+    """summary.txt from `lines`, flagged PARTIAL and raised as RunError on a failure."""
+    lines = lines + ([f"PARTIAL: {failure}"] if failure else [])
     (out / "summary.txt").write_text("".join(line + "\n" for line in lines))
-    if first is not None and spec.log_matrix_every > 0:
-        export_heatmaps(first["records"], out)
     if failure:
         raise RunError(failure)
-    return rows
 
 
 def sweep_lambda(spec: ExperimentSpec, values=LAMBDA_GRID, out_dir=None) -> list:
@@ -296,12 +312,11 @@ def sweep_lambda(spec: ExperimentSpec, values=LAMBDA_GRID, out_dir=None) -> list
         raise ConfigError("empty lambda grid")
     out = _ensure_out(spec, out_dir)
     echo_config(spec, out)
-    rows = []
-    for value in values:
-        sub = replace(spec, lam=float(value), trlearner=True)
-        per_run = [single_run(sub, r)["mse"] for r in range(sub.runs)]
-        rows.append(ResultRow(sub, per_run))
+    rows, failure = _run_specs([replace(spec, lam=float(value), trlearner=True)
+                                for value in values])
     write_results_csv(rows, out / "results.csv")
+    if failure:
+        raise RunError(failure)
     with open(out / "sweep.csv", "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["lambda", "mse_mean", "ci95"])
@@ -319,19 +334,17 @@ def ablate_matrix(spec: ExperimentSpec, out_dir=None) -> list:
     """Learned vs fixed relation matrix on paired seeds; fixed must not train."""
     out = _ensure_out(spec, out_dir)
     echo_config(spec, out)
-    rows = []
-    for mode in ml.MATRIX_MODES:
-        sub = replace(spec, matrix_mode=mode, trlearner=True)
-        outcomes = [single_run(sub, r) for r in range(sub.runs)]
-        if mode == "fixed":
-            for outcome in outcomes:
-                if not np.array_equal(outcome["layer"].omega,
-                                      np.ones_like(outcome["layer"].omega)):
-                    raise RunError("fixed matrix mode updated omega")
-        rows.append(ResultRow(sub, [o["mse"] for o in outcomes]))
+
+    def check_frozen(sub, outcome):
+        omega = outcome["layer"].omega
+        if sub.matrix_mode == "fixed" and not np.array_equal(omega, np.ones_like(omega)):
+            raise RunError("fixed matrix mode updated omega")
+
+    rows, failure = _run_specs([replace(spec, matrix_mode=mode, trlearner=True)
+                                for mode in ml.MATRIX_MODES], check_frozen)
     write_results_csv(rows, out / "results.csv")
-    lines = [summary_line(row) + f" [matrix={row.matrix_mode}]" for row in rows]
-    (out / "summary.txt").write_text("\n".join(lines) + "\n")
+    _write_summary(out, [summary_line(row) + f" [matrix={row.matrix_mode}]" for row in rows],
+                   failure)
     return rows
 
 

@@ -1,10 +1,12 @@
 import functools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from numpy.lib.array_utils import normalize_axis_tuple
 
 import relmeta.metalearn as ml
 import relmeta.nn as nn
@@ -63,6 +65,20 @@ class TestPrimitives:
             ad.matmul(a, b)
         with pytest.raises(ad.ShapeError, match="add"):
             ad.add(a, b)
+        c = tape.leaf(np.zeros(3))
+        mismatched = [
+            ("add", lambda: ad.add_n([a, a, b])),
+            ("concat", lambda: ad.concat([a, b], axis=0)),
+            ("broadcast", lambda: ad.broadcast_to(a, (4, 5))),
+            ("reshape", lambda: ad.reshape(a, (4,))),
+            ("sgd-step", lambda: ad.grad_through_update([a], [b], first_order=True)),
+            ("sgd-step", lambda: ad.grad_through_update([b], [c], first_order=True, rates=[b])),
+            ("slice", lambda: ad.slice_axis(a, 2, 0, 1)),
+            ("sum", lambda: ad.vsum(a, axis=5)),
+        ]
+        for op, record in mismatched:
+            with pytest.raises(ad.ShapeError, match=f"op '{op}'"):
+                record()
 
     def test_cross_tape_rejected(self):
         t1, t2 = ad.Tape(), ad.Tape()
@@ -141,19 +157,35 @@ def reduction_axis(ndim):
     )
 
 
+def any_axis(ndim):
+    """An int or a tuple of ints, in range or up to two past either end."""
+    ax = st.integers(-ndim - 2, ndim + 1)
+    return st.one_of(ax, st.lists(ax, max_size=3).map(tuple))
+
+
 REDUCTION_CASES = ANY_SHAPE.flatmap(lambda shape: st.tuples(st.just(shape), reduction_axis(len(shape))))
+ANY_AXIS_CASES = ANY_SHAPE.flatmap(lambda shape: st.tuples(st.just(shape), any_axis(len(shape))))
 REDUCTIONS = {"sum": (ad.vsum, np.sum), "mean": (ad.mean, np.mean)}
 
 
 class TestReductionProperties:
-    @settings(max_examples=200, deadline=None)
-    @given(case=REDUCTION_CASES, op=st.sampled_from(sorted(REDUCTIONS)), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    @given(case=st.one_of(REDUCTION_CASES, ANY_AXIS_CASES), op=st.sampled_from(sorted(REDUCTIONS)),
+           seed=st.integers(0, 2**32 - 1))
     def test_matches_numpy_bitwise(self, case, op, seed):
+        # out-of-range and repeated axes: ShapeError exactly when numpy raises
         shape, axis = case
         a = np.asarray(np.random.default_rng(seed).normal(size=shape))
         fn, ref = REDUCTIONS[op]
+        try:
+            if axis is not None:  # np.sum alone lets a 0-d array take axis 0 or -1
+                normalize_axis_tuple(axis, a.ndim)
+            want = np.asarray(ref(a, axis=axis))
+        except ValueError:  # numpy's AxisError is a ValueError
+            with pytest.raises(ad.ShapeError, match=f"op '{op}'"):
+                fn(ad.Tape().leaf(a), axis=axis)
+            return
         got = fn(ad.Tape().leaf(a), axis=axis).array
-        want = np.asarray(ref(a, axis=axis))
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
@@ -273,6 +305,7 @@ class TestBackward:
             (lambda v: ad.broadcast_to(v, (4, 3)), (1, 3), None),
             (lambda v: ad.transpose(v), (2, 3), None),
             (lambda v: ad.slice_axis(v, 0, 1, 3), (4, 2), None),
+            (lambda v: ad.slice_axis(v, -1, 0, 1), (4, 2), None),
             (lambda v: ad.smul(v, -2.5), (3,), None),
             (lambda v: ad.sadd(v, 0.7), (3,), None),
         ]
@@ -639,6 +672,67 @@ class TestFusedOpProperties:
 
 
 # ---------------------------------------------------------------------------
+# one recording path
+
+# each public op: the kind it records, and a call on operands `o` made beforehand
+PUBLIC_OPS = {
+    "add": ("add", lambda o: ad.add(o.a, o.b)),
+    "add_n": ("add", lambda o: ad.add_n([o.a, o.b, o.a])),
+    "sub": ("sub", lambda o: ad.sub(o.a, o.b)),
+    "mul": ("elementwise-mul", lambda o: ad.mul(o.a, o.b)),
+    "div": ("div", lambda o: ad.div(o.a, o.b)),
+    "smul": ("scalar-mul", lambda o: ad.smul(o.a, 2.0)),
+    "sadd": ("scalar-add", lambda o: ad.sadd(o.a, 2.0)),
+    "matmul": ("matmul", lambda o: ad.matmul(o.a, o.b, tb=True)),
+    "affine": ("affine", lambda o: ad.affine(o.a, o.w, o.c)),
+    "mse": ("mse", lambda o: ad.mse(o.a, o.b)),
+    "transpose": ("transpose", lambda o: ad.transpose(o.a)),
+    "reshape": ("reshape", lambda o: ad.reshape(o.a, (6,))),
+    "broadcast_to": ("broadcast", lambda o: ad.broadcast_to(o.c, (3, 2))),
+    "vsum": ("sum", lambda o: ad.vsum(o.a, axis=0)),
+    "mean": ("mean", lambda o: ad.mean(o.a)),
+    "tanh": ("tanh", lambda o: ad.tanh(o.a)),
+    "relu": ("relu", lambda o: ad.relu(o.a)),
+    "sin": ("sin", lambda o: ad.sin(o.a)),
+    "cos": ("cos", lambda o: ad.cos(o.a)),
+    "square": ("square", lambda o: ad.square(o.a)),
+    "rsqrt": ("rsqrt", lambda o: ad.rsqrt(o.b)),
+    "concat": ("concat", lambda o: ad.concat([o.a, o.b, o.a], axis=1)),
+    "slice_axis": ("slice", lambda o: ad.slice_axis(o.a, -1, 0, 1)),
+    "cosine_similarity": ("cosine-similarity", lambda o: ad.cosine_similarity(o.c, o.c)),
+    "grad_through_update": ("sgd-step", lambda o: ad.grad_through_update([o.a], [o.g])[0]),
+    "grad_through_update(first_order)": (
+        "sgd-step", lambda o: ad.grad_through_update([o.a], [o.b], first_order=True)[0]),
+    "grad_through_update(rates)": (
+        "sgd-step", lambda o: ad.grad_through_update([o.a], [o.g], rates=[o.b])[0]),
+}
+
+
+class TestOneRecordingPath:
+    @pytest.mark.parametrize("name", sorted(PUBLIC_OPS))
+    def test_each_op_takes_its_value_from_one_forward_call(self, name, monkeypatch):
+        calls = []
+        for kind, fwd in list(ad._FORWARD.items()):
+            def counted(xs, extra, kind=kind, fwd=fwd):
+                calls.append((kind, fwd(xs, extra)))
+                return calls[-1][1]
+            monkeypatch.setitem(ad._FORWARD, kind, counted)
+        tape, rng = ad.Tape(), np.random.default_rng(0)
+        a, b = tape.leaf(rng.normal(size=(3, 2))), tape.leaf(rng.uniform(1.0, 2.0, size=(3, 2)))
+        o = SimpleNamespace(a=a, b=b, c=tape.leaf(rng.normal(size=2)),
+                            w=tape.leaf(rng.normal(size=(2, 2))), g=ad.sin(b))
+        calls.clear()
+        kind, record = PUBLIC_OPS[name]
+        out = record(o)
+        assert [k for k, _ in calls] == [kind]
+        assert out.array is calls[0][1]
+
+    def test_every_op_kind_but_the_vjp_nodes_is_public(self):
+        public = {kind for kind, _ in PUBLIC_OPS.values()}
+        assert set(ad._FORWARD) - public == {"mse-grad", "tanh-grad", "cosine-grad"}
+
+
+# ---------------------------------------------------------------------------
 # pruned reverse walk
 
 
@@ -717,8 +811,8 @@ class TestPrunedWalk:
         before = len(tape)
         f = ad.vsum(ad.add(ad.mul(x, x), x))   # x reached three times
         (gx,) = ad.grad(f, [x])
-        added = [n for n in tape.nodes[before:] if n.op in ("add", "add-n")]
-        assert [(n.op, len(n.parents)) for n in added] == [("add", 2), ("add-n", 3)]
+        added = [n for n in tape.nodes[before:] if n.op == "add"]
+        assert [(n.op, len(n.parents)) for n in added] == [("add", 2), ("add", 3)]
         assert np.array_equal(gx.array, [3.0, -3.0])
 
     def test_anil_evaluation_records_no_vjp_toward_extractor(self, monkeypatch):

@@ -15,23 +15,31 @@ METRICS = json.loads((TOOL.parents[1] / "BENCHMARK.json").read_text())["end_to_e
 BASE = {m["name"]: 10.0 for m in METRICS}
 
 
-def _line(side, pair, values, trace=0, workload="w"):
+def _line(side, pair, values, trace=0, workload="w", failed=0):
     metrics = {name: {"value": values.get(name, BASE[name]), "unit": "u"} for name in BASE}
     env = {"git_sha": side, "python": "3", "numpy": "2", "nproc": 2}
+    result = {"correct": not failed, "failed": failed, "metrics": metrics}
     return {"side": side, "workload": workload, "seed": 100 + pair, "pair": pair, "trace": trace,
-            "env": env, "src_lines": 1, "result": {"correct": True, "failed": 0, "metrics": metrics}}
+            "env": env, "src_lines": 1, "result": result}
 
 
-def _build(tmp_path, parent, change):
-    """One pair per index: parent[i] and change[i] map metric names to values."""
+def _entry(tmp_path, parent, change, failed=None):
+    """One pair per index: parent[i] and change[i] map metric names to values;
+    `failed` maps a side to the failed operations of each of its runs."""
     lines = []
+    failed = failed or {}
     for pair, (p, c) in enumerate(zip(parent, change)):
-        lines += [_line("parent", pair, p), _line("change", pair, c)]
+        lines += [_line("parent", pair, p, failed=failed.get("parent", 0)),
+                  _line("change", pair, c, failed=failed.get("change", 0))]
     src = tmp_path / "pairs.jsonl"
     src.write_text("".join(json.dumps(line) + "\n" for line in lines))
     out = tmp_path / "bench.json"
     assert benchpairs.main(["build", str(src), "--out", str(out)]) == 0
-    return json.loads(out.read_text())["workloads"]["w"]["end_to_end"]
+    return json.loads(out.read_text())["workloads"]["w"]
+
+
+def _build(tmp_path, parent, change):
+    return _entry(tmp_path, parent, change)["end_to_end"]
 
 
 def test_gain_needs_nine_tenths_of_the_pairs_and_the_parent_iqr(tmp_path):
@@ -79,3 +87,15 @@ def test_ties_count_for_neither_side(tmp_path):
     got = _build(tmp_path, [{} for _ in range(10)], [{} for _ in range(10)])
     assert {m["change_wins"] for m in got.values()} == {0}
     assert {m["verdict"] for m in got.values()} == {"unresolved"}
+
+
+def test_failures_are_kept_per_side_and_bar_a_gain(tmp_path):
+    parent = [{"train_batches_per_s": 5.0 + 0.1 * k} for k in range(10)]
+    change = [{"train_batches_per_s": 6.0 + 0.1 * k} for k in range(10)]
+    got = _entry(tmp_path, parent, change, failed={"change": 1})
+    assert got["failed"] == {"parent": 0, "change": 10}
+    assert got["all_correct"] == {"parent": True, "change": False}
+    assert got["end_to_end"]["train_batches_per_s"]["verdict"] == "unresolved"
+    # as many failures on both sides leave the gain standing
+    got = _entry(tmp_path, parent, change, failed={"parent": 1, "change": 1})
+    assert got["end_to_end"]["train_batches_per_s"]["verdict"] == "gain"

@@ -334,6 +334,24 @@ class TestCli:
         assert cli.main(self.bench_args(tmp_path)) == 3
         assert "run failed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, finished", [
+        ("sweep-lambda", {"lambda": "0.3"}), ("ablate-matrix", {"matrix_mode": "learned"})])
+    def test_aborted_run_keeps_finished_rows(self, tmp_path, capsys, monkeypatch, command, finished):
+        real, calls = hz.single_run, []
+
+        def second_fails(spec, run_index):
+            calls.append(run_index)
+            if len(calls) == 2:
+                raise ml.MetaLearnError("non-finite outer objective")
+            return real(spec, run_index)
+
+        monkeypatch.setattr(hz, "single_run", second_fails)
+        assert cli.main([command, *self.bench_args(tmp_path)[1:]]) == 3
+        assert "run failed: run 0 (seed 0) failed: non-finite" in capsys.readouterr().err
+        with open(tmp_path / "results.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 1 and rows[0].items() >= finished.items()
+
     def test_heatmap_subcommand(self, tmp_path):
         spec = tiny_spec(tmp_path / "run", log_matrix_every=1, runs=1)
         hz.run_benchmark(spec)

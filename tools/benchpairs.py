@@ -14,10 +14,11 @@ median and quartiles of every end-to-end metric on each side over the
 per-layer metrics per side; plus both SHAs, the lines of `src/` on each
 side, the Python and numpy versions, `nproc` and the acceptance time.
 
-Each end-to-end metric also gets a verdict.  `gain`: the change won at
-least nine tenths of the pairs (ties count for neither side) and its
-median is better than the parent's by more than the parent's
-interquartile range.  `regression`: the change's median is worse than the
+Each side's failed operations and whether all its runs were correct are
+recorded apart.  Each end-to-end metric also gets a verdict.  `gain`: the
+change failed no more operations than the parent, won at least nine
+tenths of the pairs (ties count for neither side) and its median is
+better than the parent's by more than the parent's interquartile range.  `regression`: the change's median is worse than the
 parent's by more than the metric's relative bound in BENCHMARK.json.
 Anything else is `unresolved`.
 """
@@ -71,12 +72,14 @@ def _quartiles(values: list) -> dict:
     return {"q1": q1, "median": median, "q3": q3}
 
 
-def verdict(parent: dict, change: dict, wins: int, pairs: int, better: str, bound: float) -> str:
+def verdict(parent: dict, change: dict, wins: int, pairs: int, better: str, bound: float,
+            more_failed: bool = False) -> str:
     """`gain`, `regression` or `unresolved` for one metric; `parent` and
-    `change` are `_quartiles` dicts, `bound` a relative worsening."""
+    `change` are `_quartiles` dicts, `bound` a relative worsening, and
+    `more_failed` whether the change failed more operations (no gain then)."""
     sign = 1.0 if better == "higher" else -1.0
     diff = sign * (change["median"] - parent["median"])
-    if wins >= 0.9 * pairs and diff > parent["q3"] - parent["q1"]:
+    if not more_failed and wins >= 0.9 * pairs and diff > parent["q3"] - parent["q1"]:
         return "gain"
     if -diff > bound * abs(parent["median"]):
         return "regression"
@@ -104,10 +107,13 @@ def build(args) -> int:
         timed = [line for line in mine if line["trace"] == 0]
         entry = {
             "seeds": sorted({line["seed"] for line in timed}),
-            "all_correct": all(line["result"]["correct"] for line in mine),
-            "failed": sum(line["result"]["failed"] for line in mine),
+            "all_correct": {side: all(line["result"]["correct"] for line in mine
+                                      if line["side"] == side) for side in SIDES},
+            "failed": {side: sum(line["result"]["failed"] for line in mine
+                                 if line["side"] == side) for side in SIDES},
             "end_to_end": {},
         }
+        more_failed = entry["failed"]["change"] > entry["failed"]["parent"]
         by_pair = {}
         for line in timed:
             by_pair.setdefault(line["pair"], {})[line["side"]] = line["result"]["metrics"]
@@ -121,7 +127,7 @@ def build(args) -> int:
                 sides, pairs=len(pairs), change_wins=wins,
                 unit=pairs[0]["change"][name]["unit"],
                 verdict=verdict(sides["parent"], sides["change"], wins, len(pairs),
-                                direction, bounds[name]))
+                                direction, bounds[name], more_failed))
         traced = {line["side"]: line["result"]["metrics"] for line in mine if line["trace"] == 1}
         entry["per_layer"] = {side: {k: m["value"] for k, m in traced[side].items()}
                               for side in SIDES if side in traced}
