@@ -18,9 +18,10 @@ Each side's failed operations and whether all its runs were correct are
 recorded apart.  Each end-to-end metric also gets a verdict.  `gain`: the
 change failed no more operations than the parent, won at least nine
 tenths of the pairs (ties count for neither side) and its median is
-better than the parent's by more than the parent's interquartile range.  `regression`: the change's median is worse than the
-parent's by more than the metric's relative bound in BENCHMARK.json.
-Anything else is `unresolved`.
+better than the parent's by more than the parent's interquartile range.
+`regression`: the change's median is worse than the parent's by more than
+the metric's relative bound in BENCHMARK.json.  Anything else is
+`unresolved`.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ def _quartiles(values: list) -> dict:
 
 
 def verdict(parent: dict, change: dict, wins: int, pairs: int, better: str, bound: float,
-            more_failed: bool = False) -> str:
+            more_failed: bool) -> str:
     """`gain`, `regression` or `unresolved` for one metric; `parent` and
     `change` are `_quartiles` dicts, `bound` a relative worsening, and
     `more_failed` whether the change failed more operations (no gain then)."""
