@@ -30,6 +30,7 @@ per meta-batch.
 
 from __future__ import annotations
 
+import math
 from heapq import heappop, heappush
 
 import numpy as np
@@ -88,7 +89,7 @@ class Tape:
 
     def __init__(self):
         self.nodes: list[Node] = []
-        self.n_leaves = 0
+        self.leaves: list[int] = []  # leaf k's node index; leaf k sets mask bit k
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -103,8 +104,8 @@ class Tape:
 
     def leaf(self, values) -> Var:
         """A differentiation root; backward() reports gradients for these."""
-        bit = 1 << self.n_leaves
-        self.n_leaves += 1
+        bit = 1 << len(self.leaves)
+        self.leaves.append(len(self.nodes))
         return self._append("leaf", (), np.array(values, dtype=np.float64), mask=bit)
 
     def constant(self, values) -> Var:
@@ -181,8 +182,16 @@ def _f_affine(xs, _):
     return xs[0] @ xs[1] + xs[2]
 
 
+def _count(axis, shape) -> int:
+    """Entries a reduction over `axis` (None or non-negative axes) sums.
+
+    sum, mean and mse call np.add.reduce and divide by this count, as the
+    np.sum and np.mean wrappers do: the same bits and result type."""
+    return math.prod(shape) if axis is None else math.prod([shape[i] for i in axis])
+
+
 def _f_mse(xs, _):
-    return np.mean(np.square(xs[0] - xs[1]))
+    return np.add.reduce(np.square(xs[0] - xs[1]), axis=None) / xs[0].size
 
 
 def _f_mse_grad(xs, c):
@@ -209,13 +218,12 @@ def _f_broadcast(xs, shape):
 
 
 def _f_sum(xs, extra):
-    axis, _ = extra
-    return np.sum(xs[0], axis=axis)
+    return np.add.reduce(xs[0], axis=extra[0])
 
 
 def _f_mean(xs, extra):
-    axis, _ = extra
-    return np.mean(xs[0], axis=axis)
+    axis, shape = extra
+    return np.add.reduce(xs[0], axis=axis) / _count(axis, shape)
 
 
 def _f_tanh(xs, _):
@@ -263,13 +271,14 @@ def _f_sgd_step(xs, extra):
 
 def _f_cosine(xs, _):
     u, v = xs
-    return np.array(float(u @ v) / (np.linalg.norm(u) * np.linalg.norm(v)))
+    ru, rv = u.ravel(order="K"), v.ravel(order="K")  # np.linalg.norm's steps, unwrapped
+    return np.array(float(u @ v) / (np.sqrt(ru.dot(ru)) * np.sqrt(rv.dot(rv))))
 
 
 def _f_cosine_grad(xs, _):
     g, a, b, c = xs
-    ra = 1.0 / np.sqrt(np.sum(np.square(a)))
-    rb = 1.0 / np.sqrt(np.sum(np.square(b)))
+    ra = 1.0 / np.sqrt(np.add.reduce(np.square(a), axis=None))
+    rb = 1.0 / np.sqrt(np.add.reduce(np.square(b), axis=None))
     return g * (b * (ra * rb) - a * (c * np.square(ra)))
 
 
@@ -319,7 +328,8 @@ def _record(op: str, vars_: tuple, extra=None) -> Var:
         tape, arrays, parents = a.tape, (a.array,), (a.index,)
     elif n == 2:
         a, b = vars_
-        tape, arrays, parents = _same_tape(op, vars_), (a.array, b.array), (a.index, b.index)
+        tape = a.tape if b.tape is a.tape else _same_tape(op, vars_)
+        arrays, parents = (a.array, b.array), (a.index, b.index)
     else:
         tape = _same_tape(op, vars_)
         arrays = [v.array for v in vars_]
@@ -411,6 +421,8 @@ def _norm_axis(op: str, axis, ndim: int):
     """`axis` (None, an int or a tuple) as non-negative axes of an ndim-D operand."""
     if axis is None:
         return None
+    if type(axis) is int and -ndim <= axis < ndim:
+        return (axis % ndim,)
     axes = (axis,) if isinstance(axis, int) else tuple(axis)
     if axes and (min(axes) < -ndim or max(axes) >= ndim):
         raise ShapeError(f"op '{op}': axis {axis} is out of range for a {ndim}-D operand")
@@ -455,6 +467,8 @@ def concat(vars_, axis: int = 0) -> Var:
 
 def slice_axis(a: Var, axis: int, start: int, stop: int) -> Var:
     (axis,) = _norm_axis("slice", axis, a.array.ndim)
+    if not 0 <= start <= stop <= a.shape[axis]:
+        raise ShapeError(f"op 'slice': [{start}, {stop}) is not a range of axis {axis} of {a.shape}")
     return _record("slice", (a,), (axis, start, stop))
 
 
@@ -591,8 +605,7 @@ def _v_sum(out, ins, g, extra, need):
 
 def _v_mean(out, ins, g, extra, need):
     axis, in_shape = extra
-    total = np.prod(in_shape) if axis is None else np.prod([in_shape[i] for i in axis])
-    return (smul(_expand(g, axis, in_shape), 1.0 / float(total)),)
+    return (smul(_expand(g, axis, in_shape), 1.0 / _count(axis, in_shape)),)
 
 
 def _v_tanh(out, ins, g, _, need):
@@ -744,7 +757,8 @@ def _walk(output: Var, seed, wanted: list) -> dict[int, Var]:
     tape = output.tape
     nodes = tape.nodes
     if seed is None:
-        seed_var = tape.constant(np.ones(output.shape))
+        # np.array(1.0) is np.ones(()) at a fifth of the cost
+        seed_var = tape.constant(np.ones(output.shape) if output.shape else np.array(1.0))
     else:
         arr = seed.array if isinstance(seed, Var) else np.asarray(seed, dtype=np.float64)
         if arr.shape != output.shape:
@@ -782,7 +796,7 @@ def _walk(output: Var, seed, wanted: list) -> dict[int, Var]:
         else:
             flags = [nodes[p].mask & need for p in parents]
         out_var = Var(tape, idx, node.array)
-        ins = tuple(Var(tape, p, nodes[p].array) for p in parents)
+        ins = [Var(tape, p, nodes[p].array) for p in parents]
         for parent, gp in zip(parents, _VJP[node.op](out_var, ins, g, node.extra, flags)):
             if gp is None:
                 continue
@@ -806,8 +820,7 @@ def backward(output: Var, seed=None) -> dict[int, Var]:
     `seed` defaults to ones (use a scalar output).  The adjoints are tape
     Vars; leaves the sweep never reaches map to recorded zero constants.
     """
-    leaves = [i for i, node in enumerate(output.tape.nodes) if node.op == "leaf"]
-    return _walk(output, seed, leaves)
+    return _walk(output, seed, output.tape.leaves)
 
 
 def grad(output: Var, wrt, seed=None) -> list[Var]:

@@ -18,6 +18,7 @@ carries fresh tasks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -161,7 +162,7 @@ def _adapt(mv: nn.ModelVars, head: list, support_x, support_y, config: MetaConfi
         if not head_only:
             feats = nn.forward_features_with(mv, cur[:-2], x)
         loss = task_loss(nn.head_apply(cur[-2:], feats), y)
-        if not np.all(np.isfinite(loss.array)):
+        if not math.isfinite(loss.array):  # a scalar: np.isfinite costs a ufunc call
             raise MetaLearnError(f"non-finite inner loss for {label}")
         cur = ad.grad_through_update(
             cur, ad.grad(loss, cur), alpha=config.alpha,
@@ -320,7 +321,7 @@ def outer_step(model: nn.MetaModel, layer, batch: tk.TaskBatch, config: MetaConf
         model, layer, batch, config
     )
 
-    if not np.all(np.isfinite(objective.array)):
+    if not math.isfinite(objective.array):
         raise MetaLearnError(
             f"non-finite outer objective (query losses {query_losses}, "
             f"consistency {tr_losses}, lam {config.lam})"

@@ -3,7 +3,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.lib.array_utils import normalize_axis_tuple
@@ -168,6 +168,13 @@ ANY_AXIS_CASES = ANY_SHAPE.flatmap(lambda shape: st.tuples(st.just(shape), any_a
 REDUCTIONS = {"sum": (ad.vsum, np.sum), "mean": (ad.mean, np.mean)}
 
 
+def assert_same_value_on_replay(tape, out, want):
+    """`out` and its replayed value have `want`'s type (np.float64 or ndarray) and bits."""
+    for got in (out.array, tape.replay()[out.index]):
+        assert type(got) is type(want) and got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 class TestReductionProperties:
     @settings(max_examples=300, deadline=None)
     @given(case=st.one_of(REDUCTION_CASES, ANY_AXIS_CASES), op=st.sampled_from(sorted(REDUCTIONS)),
@@ -180,14 +187,22 @@ class TestReductionProperties:
         try:
             if axis is not None:  # np.sum alone lets a 0-d array take axis 0 or -1
                 normalize_axis_tuple(axis, a.ndim)
-            want = np.asarray(ref(a, axis=axis))
+            want = ref(a, axis=axis)
         except ValueError:  # numpy's AxisError is a ValueError
             with pytest.raises(ad.ShapeError, match=f"op '{op}'"):
                 fn(ad.Tape().leaf(a), axis=axis)
             return
-        got = fn(ad.Tape().leaf(a), axis=axis).array
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
+        tape = ad.Tape()
+        assert_same_value_on_replay(tape, fn(tape.leaf(a), axis=axis), want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(shape=ANY_SHAPE, seed=st.integers(0, 2**32 - 1))
+    def test_mse_matches_numpy_bitwise(self, shape, seed):
+        rng = np.random.default_rng(seed)
+        p, y = np.asarray(rng.normal(size=shape)), np.asarray(rng.normal(size=shape))
+        tape = ad.Tape()
+        assert_same_value_on_replay(tape, ad.mse(tape.leaf(p), tape.constant(y)),
+                                    np.mean(np.square(p - y)))
 
     @settings(max_examples=100, deadline=None)
     @given(case=REDUCTION_CASES, op=st.sampled_from(sorted(REDUCTIONS)), seed=st.integers(0, 2**32 - 1))
@@ -208,7 +223,75 @@ class TestReductionProperties:
         assert rel_err(got.array, finite_diff(f, a.copy())) < 1e-6
 
 
+SLICE_CASES = ANY_SHAPE.flatmap(lambda shape: st.tuples(
+    st.just(shape), st.integers(-len(shape), len(shape) - 1) if shape else st.just(0),
+    st.integers(-2, max(shape, default=1) + 2), st.integers(-2, max(shape, default=1) + 2)))
+
+
+class TestSliceProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(case=SLICE_CASES, seed=st.integers(0, 2**32 - 1))
+    @example(case=((4,), 0, 3, 1), seed=0)  # start > stop: was a (6,) gradient
+    @example(case=((4,), 0, 5, 5), seed=0)  # start > size
+    @example(case=((4,), 0, 2, 6), seed=0)  # stop > size
+    @example(case=((4, 2), -1, -1, 1), seed=0)  # negative start
+    @example(case=((3, 2), 0, 1, 1), seed=0)  # empty range
+    def test_value_and_gradient_or_shape_error(self, case, seed):
+        shape, axis, start, stop = case
+        a = np.asarray(np.random.default_rng(seed).normal(size=shape))
+        tape = ad.Tape()
+        v = tape.leaf(a)
+        if not shape or not 0 <= start <= stop <= shape[axis]:
+            with pytest.raises(ad.ShapeError, match="op 'slice'"):
+                ad.slice_axis(v, axis, start, stop)
+            return
+        index = [slice(None)] * a.ndim
+        index[axis] = slice(start, stop)
+        out = ad.slice_axis(v, axis, start, stop)
+        assert out.shape == a[tuple(index)].shape and out.array.tobytes() == a[tuple(index)].tobytes()
+        want = np.zeros(shape)
+        want[tuple(index)] = 1.0
+        got = ad.backward(ad.vsum(out))[v.index].array
+        assert got.shape == shape and np.array_equal(got, want)
+
+
+MIXED_STEPS = st.lists(st.tuples(st.sampled_from(["leaf", "const", "detach", "grad", "mul", "tanh"]),
+                                 st.integers(0, 99)), max_size=14)
+
+
+def build_mixed_tape(steps):
+    """(2,) values from `steps`, where a `grad` toward a node its output does
+    not reach is a zero-grad constant; the output sums them all."""
+    tape = ad.Tape()
+    vs = [tape.constant([1.5, -0.5])]
+    for kind, k in steps:
+        a, b = vs[k % len(vs)], vs[(k // 7) % len(vs)]
+        if kind == "leaf":
+            vs.append(tape.leaf([0.01 * k, -0.3]))
+        elif kind == "const":
+            vs.append(tape.constant([0.5, 0.02 * k]))
+        elif kind == "detach":
+            vs.append(ad.detach(a))
+        elif kind == "grad":
+            vs.append(ad.grad(ad.vsum(ad.square(a)), [b])[0])
+        else:
+            vs.append(ad.mul(a, b) if kind == "mul" else ad.tanh(a))
+    return tape, ad.vsum(ad.add_n(vs))
+
+
 class TestBackward:
+    @settings(max_examples=100, deadline=None)
+    @given(steps=MIXED_STEPS)
+    def test_tracked_leaves_match_a_full_scan(self, steps):
+        tape, out = build_mixed_tape(steps)
+        scan = [i for i, node in enumerate(tape.nodes) if node.op == "leaf"]
+        assert tape.leaves == scan
+        twin, twin_out = build_mixed_tape(steps)
+        got, want = ad.backward(out), ad._walk(twin_out, None, scan)
+        assert list(got) == list(want)
+        assert all(got[i].array.tobytes() == want[i].array.tobytes() for i in got)
+        assert [n.op for n in tape.nodes] == [n.op for n in twin.nodes]
+
     def test_sum_gives_ones(self):
         tape = ad.Tape()
         x = tape.leaf(np.arange(6.0).reshape(2, 3))

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -360,6 +363,35 @@ class TestOuterStep:
         assert m["matrix"].shape == (3, 3)
         assert np.allclose(m["matrix_normalized"].sum(axis=1), 1.0)
         assert m["query_mse"] == pytest.approx(np.mean(m["per_task"]))
+
+
+class TestTapeLifetime:
+    """Nothing on a tape refers back to it, so refcounting frees it on return."""
+
+    @pytest.mark.parametrize("method", ["maml", "anil", "metasgd"])
+    @pytest.mark.parametrize("call", ["outer_step", "adapted_query_mse"])
+    def test_tape_dies_when_the_call_returns(self, call, method, monkeypatch):
+        refs = []
+
+        class TrackedTape(ad.Tape):
+            def __init__(self):
+                super().__init__()
+                refs.append(weakref.ref(self))
+
+        monkeypatch.setattr(ad, "Tape", TrackedTape)
+        config = small_config(method=method)
+        model, layer, source = build(config)
+        opt = ml.make_optimizer(model, layer, config)
+        batch = first_batch(source, config)
+        gc.disable()  # a reference cycle would keep the tape alive until collected
+        try:
+            if call == "outer_step":
+                ml.outer_step(model, layer, batch, config, opt)
+            else:
+                ml.adapted_query_mse(model, source.eval_task(0), config)
+            assert len(refs) == 1 and refs[0]() is None
+        finally:
+            gc.enable()
 
 
 class TestMethods:
