@@ -185,8 +185,8 @@ def _f_affine(xs, _):
 def _count(axis, shape) -> int:
     """Entries a reduction over `axis` (None or non-negative axes) sums.
 
-    sum, mean and mse call np.add.reduce and divide by this count, as the
-    np.sum and np.mean wrappers do: the same bits and result type."""
+    sum is np.add.reduce, and mean and mse divide it by the count, which is
+    what the np.sum and np.mean wrappers do: the same bits and result type."""
     return math.prod(shape) if axis is None else math.prod([shape[i] for i in axis])
 
 
