@@ -83,7 +83,7 @@ class ExperimentSpec(ml.MetaConfig):
             bad.append(f"eval_tasks={self.eval_tasks}")
         if self.pool_size is not None and self.pool_size < 1:
             bad.append(f"pool_size={self.pool_size}")
-        if not np.isfinite(self.noise_sd):
+        if not np.isfinite(self.noise_sd) or self.noise_sd < 0:
             bad.append(f"noise_sd={self.noise_sd}")
         if bad:
             raise ConfigError("invalid values: " + ", ".join(bad))
@@ -307,22 +307,16 @@ def _write_summary(out, lines: list, failure) -> None:
 
 
 def sweep_lambda(spec: ExperimentSpec, values=LAMBDA_GRID, out_dir=None) -> list:
-    """One benchmark per λ on shared seeds; writes sweep.csv and sweep.svg."""
+    """One benchmark per λ on shared seeds; writes results.csv and sweep.svg."""
     if not values:
         raise ConfigError("empty lambda grid")
+    specs = [replace(spec, lam=float(value), trlearner=True) for value in values]
     out = _ensure_out(spec, out_dir)
     echo_config(spec, out)
-    rows, failure = _run_specs([replace(spec, lam=float(value), trlearner=True)
-                                for value in values])
+    rows, failure = _run_specs(specs)
     write_results_csv(rows, out / "results.csv")
     if failure:
         raise RunError(failure)
-    with open(out / "sweep.csv", "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["lambda", "mse_mean", "ci95"])
-        for value, row in zip(values, rows):
-            ci = "n/a" if row.runs == 1 else repr(float(row.ci95))
-            writer.writerow([format_value(float(value)), repr(float(row.mse_mean)), ci])
     svg = sp.line_plot([float(v) for v in values], [row.mse_mean for row in rows],
                        title=f"{spec.dataset} {spec.shots}-shot",
                        x_label="lambda", y_label="query MSE")
@@ -332,6 +326,7 @@ def sweep_lambda(spec: ExperimentSpec, values=LAMBDA_GRID, out_dir=None) -> list
 
 def ablate_matrix(spec: ExperimentSpec, out_dir=None) -> list:
     """Learned vs fixed relation matrix on paired seeds; fixed must not train."""
+    specs = [replace(spec, matrix_mode=mode, trlearner=True) for mode in ml.MATRIX_MODES]
     out = _ensure_out(spec, out_dir)
     echo_config(spec, out)
 
@@ -340,8 +335,7 @@ def ablate_matrix(spec: ExperimentSpec, out_dir=None) -> list:
         if sub.matrix_mode == "fixed" and not np.array_equal(omega, np.ones_like(omega)):
             raise RunError("fixed matrix mode updated omega")
 
-    rows, failure = _run_specs([replace(spec, matrix_mode=mode, trlearner=True)
-                                for mode in ml.MATRIX_MODES], check_frozen)
+    rows, failure = _run_specs(specs, check_frozen)
     write_results_csv(rows, out / "results.csv")
     _write_summary(out, [summary_line(row) + f" [matrix={row.matrix_mode}]" for row in rows],
                    failure)

@@ -65,7 +65,6 @@ class MetaConfig:
     log_matrix_every: int = 0
     val_tasks: int = 20
     eval_inner_steps: object = None
-    freeze_inner_rates: bool = False
 
     def __post_init__(self):
         bad = []
@@ -76,6 +75,12 @@ class MetaConfig:
                 bad.append(f"{key}={value}")
         if self.method not in METHODS:
             bad.append(f"method={self.method!r}")
+        if self.metadata_strategy not in tk.METADATA_STRATEGIES:
+            bad.append(f"metadata_strategy={self.metadata_strategy!r}")
+        if self.seed < 0:
+            bad.append(f"seed={self.seed}")
+        if any(width < 1 for width in self.hidden):
+            bad.append(f"hidden={self.hidden}")
         if self.inner_steps < 1:
             bad.append(f"inner_steps={self.inner_steps}")
         if self.batch_tasks < 1:
@@ -178,8 +183,8 @@ def inner_adapt(mv: nn.ModelVars, i: int, metadata, config: MetaConfig) -> Adapt
                   config.inner_steps, not config.second_order, f"task {i}")
 
 
-def trlearner_loss(adapted_models: list, matrix: rel.RelationMatrix, i: int, metadata) -> ad.Var:
-    """Consistency of task i's targets with its peers' weighted prediction.
+def trlearner_loss(adapted_models: list, matrix: rel.RelationMatrix, i: int, x: ad.Var, y: ad.Var) -> ad.Var:
+    """Consistency of task i's query targets `y` with its peers' weighted prediction at `x`.
 
     The peer ensemble averages every other task's adapted model over the
     clamped relation weights; task i's own model is excluded, so this
@@ -188,9 +193,6 @@ def trlearner_loss(adapted_models: list, matrix: rel.RelationMatrix, i: int, met
     n = len(adapted_models)
     if n < 2:
         raise MetaLearnError(f"consistency term needs at least 2 tasks, got {n}")
-    tape = adapted_models[i].mv.tape
-    x = tape.constant(metadata.query_x)
-    y = tape.constant(metadata.query_y)
     terms = []
     weights = []
     for p in range(n):
@@ -251,11 +253,7 @@ class Adam:
 
 
 def trainable_params(model: nn.MetaModel, layer, config: MetaConfig) -> list:
-    pairs = []
-    for name, arr in model.named_params():
-        if name.startswith("lr.") and config.freeze_inner_rates:
-            continue
-        pairs.append((name, arr))
+    pairs = list(model.named_params())
     if config.trlearner and config.matrix_mode == "learned":
         if layer is None:
             raise MetaLearnError("trlearner in learned mode needs a similarity layer")
@@ -271,55 +269,51 @@ def make_optimizer(model: nn.MetaModel, layer, config: MetaConfig):
 
 
 def _record_batch(model: nn.MetaModel, layer, batch: tk.TaskBatch, config: MetaConfig):
-    """Phases A-D: record the averaged outer objective for one meta-batch."""
+    """Phases A-D: the `trainable_params` leaves, matrix, objective and per-task losses."""
     n = len(batch)
     tape = ad.Tape()
     mv = nn.bind(model, tape)
+    named = list(mv.named)
 
     matrix = None
-    omega_var = None
     if config.trlearner:
         reps = [rel.task_representation(mv, md) for md in batch.metadata]
-        if config.matrix_mode == "fixed":
-            omega_var = tape.constant(layer.omega)
+        learned = config.matrix_mode == "learned"
+        omega = tape.leaf(layer.omega) if learned else tape.constant(layer.omega)
+        if learned:
+            named.append(("omega", omega))
+        if not (learned and config.matrix_grad_to_extractor):
             reps = [ad.detach(z) for z in reps]
-        else:
-            omega_var = tape.leaf(layer.omega)
-            if not config.matrix_grad_to_extractor:
-                reps = [ad.detach(z) for z in reps]
-        matrix = rel.build_matrix(omega_var, reps)
+        matrix = rel.build_matrix(omega, reps)
 
     adapted = [inner_adapt(mv, i, batch.metadata[i], config) for i in range(n)]
 
     query_losses = []
     tr_losses = [] if matrix is not None else None
     terms = []
-    for i in range(n):
-        md = batch.metadata[i]
+    for i, md in enumerate(batch.metadata):
         x = tape.constant(md.query_x)
         y = tape.constant(md.query_y)
         lq = task_loss(adapted[i].predict(x), y)
         query_losses.append(float(lq.array))
         term = lq
         if matrix is not None:
-            ltr = trlearner_loss(adapted, matrix, i, md)
+            ltr = trlearner_loss(adapted, matrix, i, x, y)
             tr_losses.append(float(ltr.array))
             term = ad.add(lq, ad.smul(ltr, config.lam))
         terms.append(term)
     objective = ad.smul(ad.add_n(terms), 1.0 / n)
-    return mv, omega_var, matrix, objective, query_losses, tr_losses
+    return named, matrix, objective, query_losses, tr_losses
 
 
 def batch_objective(model: nn.MetaModel, layer, batch: tk.TaskBatch, config: MetaConfig) -> float:
     """Outer objective value at the current parameters; records no update."""
-    return float(_record_batch(model, layer, batch, config)[3].array)
+    return float(_record_batch(model, layer, batch, config)[2].array)
 
 
 def outer_step(model: nn.MetaModel, layer, batch: tk.TaskBatch, config: MetaConfig, optimizer) -> dict:
     """Record one meta-batch (phases A-E) and apply one optimizer step (F)."""
-    mv, omega_var, matrix, objective, query_losses, tr_losses = _record_batch(
-        model, layer, batch, config
-    )
+    named, matrix, objective, query_losses, tr_losses = _record_batch(model, layer, batch, config)
 
     if not math.isfinite(objective.array):
         raise MetaLearnError(
@@ -328,10 +322,7 @@ def outer_step(model: nn.MetaModel, layer, batch: tk.TaskBatch, config: MetaConf
         )
 
     grads = ad.backward(objective)
-    updates = {name: grads[var.index].array for name, var in mv.named}
-    if config.trlearner and config.matrix_mode == "learned":
-        updates["omega"] = grads[omega_var.index].array
-    optimizer.step(updates)
+    optimizer.step({name: grads[var.index].array for name, var in named})
 
     return {
         "objective": float(objective.array),

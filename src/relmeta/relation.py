@@ -49,44 +49,38 @@ def task_representation(mv: nn.ModelVars, metadata) -> ad.Var:
 
 
 class RelationMatrix:
-    """Symmetric pairwise relations; each unordered pair computed once.
+    """Symmetric pairwise relations: an n x n grid of 0-d Vars, None on the diagonal.
 
-    Entries stay on the tape so outer gradients reach the mask vectors
-    (and, when enabled, the extractor through the representations).  The
-    diagonal is unused and reads as zero in the dense view.  Trust weights
-    and the dense view are built on first use and shared after that.
+    Each unordered pair is one Var, at (i, j) and (j, i).  Entries stay on
+    the tape so outer gradients reach the mask vectors (and, when enabled,
+    the extractor through the representations).  Trust weights are
+    recorded on first use and shared by both orders.
     """
 
-    __slots__ = ("n", "_pairs", "_weights", "_dense")
+    __slots__ = ("_entries", "_weights", "_values")
 
-    def __init__(self, n: int, pairs: dict):
-        self.n = n
-        self._pairs = pairs
-        self._weights = {}
-        self._dense = None
+    def __init__(self, entries: list):
+        self._entries = entries
+        self._weights = [[None] * len(entries) for _ in entries]
+        self._values = np.array([[0.0 if e is None else float(e.array) for e in row]
+                                 for row in entries])
+        self._values.flags.writeable = False
 
     def entry(self, i: int, j: int) -> ad.Var:
         if i == j:
             raise RelationError("diagonal entries are undefined")
-        return self._pairs[(min(i, j), max(i, j))]
+        return self._entries[i][j]
 
     def weight_var(self, i: int, j: int) -> ad.Var:
         """Clamped trust weight max(m_ij, 0) + floor; one Var per unordered pair."""
-        key = (min(i, j), max(i, j))
-        w = self._weights.get(key)
+        w = self._weights[i][j]
         if w is None:
-            w = self._weights[key] = ad.sadd(ad.relu(self.entry(i, j)), WEIGHT_FLOOR)
+            w = self._weights[i][j] = self._weights[j][i] = ad.sadd(ad.relu(self.entry(i, j)), WEIGHT_FLOOR)
         return w
 
     def values(self) -> np.ndarray:
-        """The dense matrix, diagonal 0; one read-only array per matrix."""
-        if self._dense is None:
-            m = np.zeros((self.n, self.n))
-            for (i, j), var in self._pairs.items():
-                m[i, j] = m[j, i] = float(var.array)
-            m.flags.writeable = False
-            self._dense = m
-        return self._dense
+        """The dense matrix, diagonal 0; read-only."""
+        return self._values
 
 
 def build_matrix(omega: ad.Var, representations: list) -> RelationMatrix:
@@ -110,7 +104,7 @@ def build_matrix(omega: ad.Var, representations: list) -> RelationMatrix:
     for w_k in masks:
         row = [ad.mul(w_k, z) for z in representations]
         masked.append([u if np.linalg.norm(u.array) != 0.0 else None for u in row])
-    pairs = {}
+    entries = [[None] * n for _ in range(n)]
     zero_heads = 0
     for i in range(n):
         for j in range(i + 1, n):
@@ -121,11 +115,11 @@ def build_matrix(omega: ad.Var, representations: list) -> RelationMatrix:
                     cosines.append(omega.tape.constant(np.array(0.0)))
                 else:
                     cosines.append(ad.cosine_similarity(row[i], row[j]))
-            pairs[(i, j)] = ad.smul(ad.add_n(cosines), 1.0 / k)
+            entries[i][j] = entries[j][i] = ad.smul(ad.add_n(cosines), 1.0 / k)
     if zero_heads:
         log.warning("%d of %d masked cosines had a zero-norm representation and contribute 0",
-                    zero_heads, k * len(pairs))
-    return RelationMatrix(n, pairs)
+                    zero_heads, k * n * (n - 1) // 2)
+    return RelationMatrix(entries)
 
 
 def nonneg_weights(matrix: RelationMatrix) -> np.ndarray:

@@ -141,6 +141,7 @@ def gen_harmonic(seed, n_support: int, n_query: int, noise_sd: float = DEFAULT_N
 
 
 GENERATORS = {"sinusoid": gen_sinusoid, "harmonic": gen_harmonic}
+METADATA_STRATEGIES = ("uniform", "scored")
 
 
 def extract_metadata(task: TaskInstance, strategy: str = "uniform", m_samples=None, seed=0) -> MetaData:
@@ -152,6 +153,8 @@ def extract_metadata(task: TaskInstance, strategy: str = "uniform", m_samples=No
     always the full query set.  Index order of the original support is
     preserved so m = n_support reproduces it exactly.
     """
+    if strategy not in METADATA_STRATEGIES:
+        raise TaskError(f"unknown metadata strategy {strategy!r}")
     n = task.n_support
     if m_samples is None:
         m_samples = n
@@ -162,19 +165,16 @@ def extract_metadata(task: TaskInstance, strategy: str = "uniform", m_samples=No
 
     if strategy == "uniform":
         idx = np.sort(np.random.default_rng(seed).choice(n, size=m_samples, replace=False))
-    elif strategy == "scored":
-        if m_samples == 1:
-            idx = np.array([0])
-        else:
-            xs = task.support_x.ravel()
-            d = np.abs(xs[:, None] - xs[None, :])
-            chosen = list(np.unravel_index(np.argmax(d), d.shape))
-            while len(chosen) < m_samples:
-                rest = [i for i in range(n) if i not in chosen]
-                chosen.append(max(rest, key=lambda i: (d[i, chosen].min(), -i)))
-            idx = np.sort(np.array(chosen))
+    elif m_samples == 1:
+        idx = np.array([0])
     else:
-        raise TaskError(f"unknown metadata strategy {strategy!r}")
+        xs = task.support_x.ravel()
+        d = np.abs(xs[:, None] - xs[None, :])
+        chosen = list(np.unravel_index(np.argmax(d), d.shape))
+        while len(chosen) < m_samples:
+            rest = [i for i in range(n) if i not in chosen]
+            chosen.append(max(rest, key=lambda i: (d[i, chosen].min(), -i)))
+        idx = np.sort(np.array(chosen))
 
     return MetaData(
         support_x=task.support_x[idx].copy(),

@@ -845,7 +845,7 @@ class TestPrunedWalk:
         layer = rel.SimilarityLayer(4, 40)
         source = tk.TaskSource("sinusoid", 10, 15, seed=0, pool_size=480)
         batch = tk.make_task_batch(source.train_batch(0, 0, 4), seed=(0, 4, 0, 0))
-        objective = ml._record_batch(model, layer, batch, config)[3]
+        objective = ml._record_batch(model, layer, batch, config)[2]
         tape = objective.tape
         before = len(tape)
         adjoints = ad.backward(objective)

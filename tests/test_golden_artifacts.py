@@ -1,19 +1,20 @@
 """Byte-for-byte golden digests of the benchmark artifacts.
 
-Eleven short specs cover every method with and without the consistency
+Ten short specs cover every method with and without the consistency
 term, the harmonic family, two inner steps with Adam and scored
-meta-data, the fixed matrix with first-order adaptation, a detached
-matrix, and frozen MetaSGD rates.  Each one writes `results.csv`,
-`log.jsonl`, `summary.txt`, `matrix_epoch*.csv` and `config.txt`; their
-SHA-256 digests must equal the ones in `golden_artifacts.json`.  The
-`out=` line of `config.txt` names the temporary directory and is left out.
+meta-data, the fixed matrix with first-order adaptation, and a detached
+matrix.  Each one writes `results.csv`, `log.jsonl`, `summary.txt`,
+`matrix_epoch*.csv` and `config.txt`; their SHA-256 digests must equal
+the ones in `golden_artifacts.json`.  The `out=` line of `config.txt`
+names the temporary directory and is left out.
 
 The digests belong to the numpy/BLAS build they were captured on: another
 build may round differently and fail here without any code change.  A
 change that moves the trajectories on purpose rewrites the fixture on
 purpose, with `python tests/test_golden_artifacts.py --write [CASE ...]`
 (only the named cases, or every case when none is named), and says so;
-no other change touches it.
+no other change touches it.  `--write` prints, for each case, the
+artifacts whose digest changed.
 """
 
 import hashlib
@@ -44,7 +45,6 @@ CASES = {
                                  metadata_strategy="scored", metadata_samples="4"),
     "fixed-first-order": dict(matrix_mode="fixed", second_order="false"),
     "detached-matrix": dict(matrix_grad_to_extractor="false"),
-    "frozen-rates": dict(method="metasgd", freeze_inner_rates="true"),
 }
 
 
@@ -74,16 +74,17 @@ def test_artifacts_match_golden_digests(case, tmp_path):
     assert artifact_digests(case, tmp_path) == golden[case]
 
 
-def test_write_rewrites_only_named_cases(tmp_path, monkeypatch):
+def test_write_rewrites_only_named_cases(tmp_path, monkeypatch, capsys):
     fixture = tmp_path / "golden.json"
     fixture.write_text(FIXTURE.read_text())
     monkeypatch.setattr(sys.modules[__name__], "FIXTURE", fixture)
-    monkeypatch.setattr(sys.modules[__name__], "artifact_digests",
-                        lambda case, out: {"results.csv": f"new {case}"})
     before = json.loads(fixture.read_text())
+    monkeypatch.setattr(sys.modules[__name__], "artifact_digests",
+                        lambda case, out: {**before[case], "results.csv": f"new {case}"})
     write_fixture(["maml"])
     after = json.loads(fixture.read_text())
-    assert after == {**before, "maml": {"results.csv": "new maml"}}
+    assert after == {**before, "maml": {**before["maml"], "results.csv": "new maml"}}
+    assert capsys.readouterr().out.splitlines()[0] == "maml: results.csv"
     with pytest.raises(SystemExit, match="unknown case"):
         write_fixture(["maml", "no-such-case"])
     assert json.loads(fixture.read_text()) == after
@@ -96,10 +97,15 @@ def write_fixture(cases) -> None:
     unknown = sorted(set(cases) - set(CASES))
     if unknown:
         raise SystemExit(f"unknown case(s): {', '.join(unknown)}; known: {', '.join(sorted(CASES))}")
-    golden = json.loads(FIXTURE.read_text()) if cases else {}
+    old = json.loads(FIXTURE.read_text())
+    golden = dict(old) if cases else {}
     with tempfile.TemporaryDirectory() as tmp:
         for case in sorted(set(cases) or CASES):
             golden[case] = artifact_digests(case, Path(tmp) / case)
+            was = old.get(case, {})
+            changed = sorted(n for n in golden[case].keys() | was.keys()
+                             if golden[case].get(n) != was.get(n))
+            print(f"{case}: {', '.join(changed) or 'unchanged'}")
     FIXTURE.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
     print(f"wrote {FIXTURE}: {', '.join(sorted(set(cases) or CASES))}")
 

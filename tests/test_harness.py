@@ -197,10 +197,11 @@ class TestSweepAndAblate:
         spec = tiny_spec(tmp_path, runs=1)
         rows = hz.sweep_lambda(spec, values=(0.4, 0.6))
         assert [row.lam for row in rows] == [0.4, 0.6]
-        with open(tmp_path / "sweep.csv") as fh:
-            lines = list(csv.reader(fh))
-        assert lines[0] == ["lambda", "mse_mean", "ci95"]
-        assert [line[0] for line in lines[1:]] == ["0.4", "0.6"]
+        with open(tmp_path / "results.csv") as fh:
+            records = list(csv.DictReader(fh))
+        assert [(r["lambda"], r["mse_mean"], r["ci95"]) for r in records] == [
+            ("0.4", repr(rows[0].mse_mean), "n/a"), ("0.6", repr(rows[1].mse_mean), "n/a")]
+        assert not (tmp_path / "sweep.csv").exists()
         assert (tmp_path / "sweep.svg").read_text().startswith("<svg")
 
     def test_sweep_single_value_degenerates_to_bench(self, tmp_path):
@@ -310,6 +311,23 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and message in err
         assert not (tmp_path / "config.txt").exists()
+
+    @pytest.mark.parametrize("command, flags, message", [
+        ("bench", ["--seed", "-1"], "seed=-1"),
+        ("bench", ["--noise-sd", "-1"], "noise_sd=-1.0"),
+        ("bench", ["--hidden", "0"], "hidden=(0,)"),
+        ("bench", ["--hidden", "8,-3"], "hidden=(8, -3)"),
+        ("bench", ["--metadata-strategy", "bogus"], "metadata_strategy='bogus'"),
+        ("sweep-lambda", ["--values", "0.3,-1"], "lam=-1.0"),
+        ("ablate-matrix", ["--batch-tasks", "1", "--trlearner", "off"], "batch_tasks >= 2"),
+    ], ids=["seed", "noise-sd", "hidden-zero", "hidden-negative", "strategy", "sweep-value",
+            "ablate-one-task"])
+    def test_invalid_value_writes_nothing(self, tmp_path, capsys, command, flags, message):
+        out = tmp_path / "out"
+        assert cli.main([command, *self.bench_args(out)[1:], *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
+        assert not out.exists()
 
     def test_malformed_pool_size_exit_code(self, tmp_path, capsys):
         assert cli.main(self.bench_args(tmp_path, ["--pool-size", "abc"])) == 2

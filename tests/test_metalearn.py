@@ -150,8 +150,7 @@ class TestInnerAdapt:
 class _StubModel:
     """predict() returns a constant; stands in for an AdaptedModel."""
 
-    def __init__(self, tape, value):
-        self.mv = type("MV", (), {"tape": tape})()
+    def __init__(self, value):
         self.value = value
 
     def predict(self, x):
@@ -168,32 +167,35 @@ class _StubMatrix:
 
 
 class TestTrlearnerLoss:
-    def md(self, ys):
+    def query(self, tape, ys):
+        """Query x/y constants for targets `ys`."""
         ys = np.asarray(ys, dtype=np.float64).reshape(-1, 1)
-        xs = np.linspace(0, 1, ys.size).reshape(-1, 1)
-        return tk.MetaData(xs, ys, xs, ys)
+        return tape.constant(np.linspace(0, 1, ys.size).reshape(-1, 1)), tape.constant(ys)
+
+    def query_of(self, tape, md):
+        return tape.constant(md.query_x), tape.constant(md.query_y)
 
     def test_hand_weighted_average(self):
         tape = ad.Tape()
-        models = [_StubModel(tape, 0.0), _StubModel(tape, 2.0), _StubModel(tape, 4.0)]
+        models = [_StubModel(0.0), _StubModel(2.0), _StubModel(4.0)]
         matrix = _StubMatrix(tape, {(0, 1): 0.5, (0, 2): 1.5})
-        ltr = ml.trlearner_loss(models, matrix, 0, self.md([1.0]))
+        ltr = ml.trlearner_loss(models, matrix, 0, *self.query(tape, [1.0]))
         # blended prediction (0.5*2 + 1.5*4) / 2 = 3.5 against target 1
         assert float(ltr.array) == pytest.approx(6.25, abs=1e-12)
 
     def test_two_tasks_reduce_to_peer_prediction(self):
         for weight in (0.01, 0.5, 2.0):
             tape = ad.Tape()
-            models = [_StubModel(tape, 0.0), _StubModel(tape, 3.0)]
+            models = [_StubModel(0.0), _StubModel(3.0)]
             matrix = _StubMatrix(tape, {(0, 1): weight})
-            ltr = ml.trlearner_loss(models, matrix, 0, self.md([1.0]))
+            ltr = ml.trlearner_loss(models, matrix, 0, *self.query(tape, [1.0]))
             assert float(ltr.array) == pytest.approx(4.0, abs=1e-12)
 
     def test_perfect_peers_zero_loss(self):
         tape = ad.Tape()
-        models = [_StubModel(tape, 9.0), _StubModel(tape, 2.0), _StubModel(tape, 2.0)]
+        models = [_StubModel(9.0), _StubModel(2.0), _StubModel(2.0)]
         matrix = _StubMatrix(tape, {(0, 1): 1.0, (0, 2): 1.0})
-        ltr = ml.trlearner_loss(models, matrix, 0, self.md([2.0, 2.0]))
+        ltr = ml.trlearner_loss(models, matrix, 0, *self.query(tape, [2.0, 2.0]))
         assert float(ltr.array) == 0.0
 
     def test_brute_force_equivalence(self):
@@ -202,13 +204,13 @@ class TestTrlearnerLoss:
             n = int(rng.integers(2, 5))
             tape = ad.Tape()
             preds = rng.normal(size=n)
-            models = [_StubModel(tape, p) for p in preds]
+            models = [_StubModel(p) for p in preds]
             weights = {(i, j): rng.uniform(0.01, 2.0) for i in range(n) for j in range(i + 1, n)}
             sym = {**weights, **{(j, i): w for (i, j), w in weights.items()}}
             matrix = _StubMatrix(tape, sym)
             ys = rng.normal(size=3)
             i = int(rng.integers(n))
-            got = float(ml.trlearner_loss(models, matrix, i, self.md(ys)).array)
+            got = float(ml.trlearner_loss(models, matrix, i, *self.query(tape, ys)).array)
             num = sum(sym[(i, p)] * preds[p] for p in range(n) if p != i)
             den = sum(sym[(i, p)] for p in range(n) if p != i)
             want = np.mean((num / den - ys) ** 2)
@@ -224,7 +226,7 @@ class TestTrlearnerLoss:
         reps = [rel.task_representation(mv, md) for md in batch.metadata]
         matrix = rel.build_matrix(omega, reps)
         adapted = [ml.inner_adapt(mv, i, batch.metadata[i], config) for i in range(3)]
-        ltr = ml.trlearner_loss(adapted, matrix, 0, batch.metadata[0])
+        ltr = ml.trlearner_loss(adapted, matrix, 0, *self.query_of(tape, batch.metadata[0]))
         grads = ad.backward(ltr)
         w0, b0 = mv.heads[0]
         assert np.all(grads[w0.index].array == 0.0)
@@ -242,15 +244,16 @@ class TestTrlearnerLoss:
         reps = [rel.task_representation(mv, md) for md in batch.metadata]
         matrix = rel.build_matrix(tape.leaf(layer.omega), reps)
         adapted = [ml.inner_adapt(mv, i, batch.metadata[i], config) for i in range(3)]
+        x, y = self.query_of(tape, batch.metadata[0])
         before = len(tape)
-        ml.trlearner_loss(adapted, matrix, 0, batch.metadata[0])
+        ml.trlearner_loss(adapted, matrix, 0, x, y)
         ops = {node.op for node in tape.nodes[before:]}
         assert "elementwise-mul" in ops and not ops & {"reshape", "broadcast"}
 
     def test_single_task_rejected(self):
         tape = ad.Tape()
         with pytest.raises(ml.MetaLearnError, match="at least 2"):
-            ml.trlearner_loss([_StubModel(tape, 0.0)], None, 0, self.md([1.0]))
+            ml.trlearner_loss([_StubModel(0.0)], None, 0, *self.query(tape, [1.0]))
 
 
 class TestOptimizers:
@@ -307,12 +310,13 @@ class TestOuterStep:
         model, layer, source = build(config, seed=1, shots=3, queries=3)
         batch = first_batch(source, config)
 
-        mv, omega_var, _, objective, _, _ = ml._record_batch(model, layer, batch, config)
+        named, _, objective, _, _ = ml._record_batch(model, layer, batch, config)
+        leaves = dict(named)
         grads = ad.backward(objective)
 
         for name, var, arr in [
-            ("g0.w", mv.extractor[0][0], model.extractor[0][0]),
-            ("omega", omega_var, layer.omega),
+            ("g0.w", leaves["g0.w"], model.extractor[0][0]),
+            ("omega", leaves["omega"], layer.omega),
         ]:
             def f(flat, arr=arr):
                 saved = arr.copy()
@@ -364,6 +368,31 @@ class TestOuterStep:
         assert np.allclose(m["matrix_normalized"].sum(axis=1), 1.0)
         assert m["query_mse"] == pytest.approx(np.mean(m["per_task"]))
 
+    def test_query_sets_recorded_once_per_task(self):
+        # the query loss and the consistency term share one constant each
+        config = small_config()
+        model, layer, source = build(config)
+        batch = first_batch(source, config)
+        tape = ml._record_batch(model, layer, batch, config)[2].tape
+        consts = [node.array for node in tape.nodes if node.op == "const"]
+        for md in batch.metadata:
+            assert [sum(a is arr for a in consts) for arr in (md.query_x, md.query_y)] == [1, 1]
+
+    @pytest.mark.parametrize("trlearner", [False, True])
+    @pytest.mark.parametrize("matrix_mode", ml.MATRIX_MODES)
+    @pytest.mark.parametrize("method", ml.METHODS)
+    def test_update_keys_are_the_trainable_names(self, method, matrix_mode, trlearner):
+        config = small_config(method=method, matrix_mode=matrix_mode, trlearner=trlearner)
+        model, layer, source = build(config)
+        steps = []
+
+        class Capture:
+            def step(self, grads):
+                steps.append(list(grads))
+
+        ml.outer_step(model, layer, first_batch(source, config), config, Capture())
+        assert steps == [[name for name, _ in ml.trainable_params(model, layer, config)]]
+
 
 class TestTapeLifetime:
     """Nothing on a tape refers back to it, so refcounting frees it on return."""
@@ -403,13 +432,6 @@ class TestMethods:
             batch = tk.make_task_batch(source.train_batch(0, b, config.batch_tasks))
             ml.outer_step(model, layer, batch, config, opt)
         return model
-
-    def test_metasgd_frozen_rates_equals_maml(self):
-        maml = self.trajectories(small_config(method="maml", trlearner=False))
-        frozen = self.trajectories(small_config(method="metasgd", trlearner=False,
-                                                freeze_inner_rates=True))
-        for name, arr in maml.named_params():
-            assert np.array_equal(arr, dict(frozen.named_params())[name]), name
 
     def test_metasgd_learns_rates(self):
         config = small_config(method="metasgd", trlearner=False)

@@ -194,6 +194,19 @@ class TestBuildMatrix:
         assert m[0, 1] == m[1, 0]
         assert matrix.entry(0, 1) is matrix.entry(1, 0)
 
+    def test_one_var_per_pair_and_values_are_its_floats(self):
+        n = 4
+        tape = ad.Tape()
+        omega = tape.leaf(np.ones((2, 3)))
+        matrix = rel.build_matrix(omega, self.rand_reps(tape, np.random.default_rng(9), n, 3))
+        values = matrix.values()
+        assert not values.flags.writeable and np.all(np.diag(values) == 0.0)
+        for i in range(n):
+            for j in range(n):
+                if i != j:
+                    assert matrix.entry(i, j) is matrix.entry(j, i)
+                    assert values[i, j] == float(matrix.entry(i, j).array)
+
     def test_matches_brute_force(self):
         rng = np.random.default_rng(7)
         for _ in range(30):
@@ -327,8 +340,10 @@ class TestWeights:
         # entries: dict (i,j)->value on a throwaway tape
         tape = ad.Tape()
         n = max(max(k) for k in entries) + 1
-        pairs = {k: tape.constant(np.array(v)) for k, v in entries.items()}
-        return rel.RelationMatrix(n, pairs)
+        grid = [[None] * n for _ in range(n)]
+        for (i, j), v in entries.items():
+            grid[i][j] = grid[j][i] = tape.constant(np.array(v))
+        return rel.RelationMatrix(grid)
 
     def test_clamp_examples(self):
         matrix = self.make_matrix({(0, 1): -0.5, (0, 2): 0.8, (1, 2): 0.0})
