@@ -49,6 +49,9 @@ class DetachedGradientError(AutodiffError):
 
 
 class Node:
+    """One tape entry.  Parents are node indices, never Vars: a tape then holds
+    no reference cycle, so refcounting frees it without the cyclic collector."""
+
     __slots__ = ("op", "parents", "array", "extra", "mask")
 
     def __init__(self, op, parents, array, extra, mask):
@@ -740,7 +743,7 @@ _VJP = {
 # ---------------------------------------------------------------------------
 # backward engine
 
-def _walk(output: Var, seed, wanted: list) -> dict[int, Var]:
+def _walk(output: Var, wanted: list) -> dict[int, Var]:
     """Reverse walk from `output`; the adjoint Var of every index in `wanted`.
 
     The walk stops at wanted nodes as well as at leaves and constants.  It
@@ -756,14 +759,8 @@ def _walk(output: Var, seed, wanted: list) -> dict[int, Var]:
     """
     tape = output.tape
     nodes = tape.nodes
-    if seed is None:
-        # np.array(1.0) is np.ones(()) at a fifth of the cost
-        seed_var = tape.constant(np.ones(output.shape) if output.shape else np.array(1.0))
-    else:
-        arr = seed.array if isinstance(seed, Var) else np.asarray(seed, dtype=np.float64)
-        if arr.shape != output.shape:
-            raise ShapeError(f"backward: seed shape {arr.shape} does not match output shape {output.shape}")
-        seed_var = tape.constant(arr)
+    # np.array(1.0) is np.ones(()) at a fifth of the cost
+    seed = tape.constant(np.ones(output.shape) if output.shape else np.array(1.0))
     wanted_set = set(wanted)
     need = 0
     for idx in wanted_set:
@@ -777,7 +774,7 @@ def _walk(output: Var, seed, wanted: list) -> dict[int, Var]:
     adjoint: dict = {}
     pending: list[int] = []
     if need is None or nodes[output.index].mask & need:
-        adjoint[output.index] = seed_var
+        adjoint[output.index] = seed
         pending.append(-output.index)
     while pending:
         idx = -heappop(pending)
@@ -814,16 +811,16 @@ def _walk(output: Var, seed, wanted: list) -> dict[int, Var]:
     return found
 
 
-def backward(output: Var, seed=None) -> dict[int, Var]:
+def backward(output: Var) -> dict[int, Var]:
     """Gradient of `output` w.r.t. every leaf of its tape, keyed by leaf index.
 
-    `seed` defaults to ones (use a scalar output).  The adjoints are tape
+    The walk starts from ones (use a scalar output).  The adjoints are tape
     Vars; leaves the sweep never reaches map to recorded zero constants.
     """
-    return _walk(output, seed, output.tape.leaves)
+    return _walk(output, output.tape.leaves)
 
 
-def grad(output: Var, wrt, seed=None) -> list[Var]:
+def grad(output: Var, wrt) -> list[Var]:
     """Differentiable gradients of `output` w.r.t. the given Vars.
 
     The returned Vars are recorded on the same tape, so they support
@@ -831,7 +828,7 @@ def grad(output: Var, wrt, seed=None) -> list[Var]:
     as recorded zero constants.
     """
     wrt = list(wrt)
-    adjoints = _walk(output, seed, [v.index for v in wrt])
+    adjoints = _walk(output, [v.index for v in wrt])
     return [adjoints[v.index] for v in wrt]
 
 

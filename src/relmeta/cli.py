@@ -1,17 +1,16 @@
-"""Command-line front end: bench, sweep-lambda, ablate-matrix, heatmap.
+"""Command-line front end: bench, sweep-lambda, ablate-matrix.
 
 Every config key has one flag, and flags override the key=value file
-passed with --config.  Exit codes: 0 success, 2 bad configuration,
+passed with --config.  `bench --log-matrix-every N` also writes the
+relation-matrix heatmaps.  Exit codes: 0 success, 2 bad configuration,
 3 failed run.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import fields
-from pathlib import Path
 
 import relmeta.harness as hz
 
@@ -50,46 +49,10 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.choices["sweep-lambda"]
     sweep.add_argument("--values", type=str, default=None,
                        help="comma-separated lambda grid, default 0.3..0.8")
-    heat = sub.add_parser("heatmap")
-    heat.add_argument("--log", type=str, required=True, metavar="FILE")
-    heat.add_argument("--out", type=str, required=True, metavar="DIR")
     return parser
 
 
-def _read_log(path) -> list:
-    """log.jsonl records; a line export_heatmaps cannot use fails the run."""
-    records = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-            if not isinstance(record, dict):
-                raise ValueError(f"expected a JSON object, got {type(record).__name__}")
-            rows = record.get("matrix")
-            if rows is not None:
-                if not (isinstance(record.get("epoch"), int)
-                        and isinstance(record.get("run", 0), int)):
-                    raise ValueError("a matrix record needs an integer 'epoch' (and 'run', if given)")
-                if not (isinstance(rows, list) and rows and all(
-                        isinstance(row, list) and row and len(row) == len(rows[0])
-                        and all(isinstance(v, (int, float)) for v in row) for row in rows)):
-                    raise ValueError("'matrix' is not a grid of numbers with equal, non-empty rows")
-        except (ValueError, TypeError) as exc:
-            raise hz.RunError(f"{path}:{lineno}: {exc}") from None
-        records.append(record)
-    return records
-
-
 def _run(args: argparse.Namespace) -> int:
-    if args.command == "heatmap":
-        records = _read_log(args.log)
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        written = hz.export_heatmaps(records, out)
-        for path in written:
-            print(path)
-        return 0
     spec = hz.parse_config(args.config, _overrides(args))
     if args.command == "bench":
         rows = hz.run_benchmark(spec)

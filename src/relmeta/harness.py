@@ -230,7 +230,7 @@ def summary_line(row: ResultRow) -> str:
 
 
 def single_run(spec: ExperimentSpec, run_index: int) -> dict:
-    """Train and evaluate one seed; returns mse, epoch records, model, layer."""
+    """Train and evaluate one seed; returns seed, mse, epoch records, model, layer."""
     seed = spec.seed + run_index
     config = spec.to_meta_config(seed)
     model = nn.init_model([1, *config.hidden], config.batch_tasks, seed,
@@ -242,58 +242,58 @@ def single_run(spec: ExperimentSpec, run_index: int) -> dict:
     records = ml.train(model, layer, source, config)
     result = ml.evaluate(model, [source.eval_task(i) for i in range(spec.eval_tasks)],
                          config)
-    return {"seed": seed, "mse": result["mean"], "ci95": result["ci95"],
-            "records": records, "model": model, "layer": layer}
+    return {"seed": seed, "mse": result["mean"], "records": records,
+            "model": model, "layer": layer}
 
 
-def _write_log(out_dir, run_records: list) -> None:
-    with open(out_dir / "log.jsonl", "w") as fh:
-        for run_index, seed, records in run_records:
-            for record in records:
-                line = {"run": run_index, "seed": seed, **record}
-                fh.write(json.dumps(line, sort_keys=True) + "\n")
+def _run_specs(spec: ExperimentSpec, specs, out_dir) -> tuple:
+    """The one runner: every seeded run of each of `specs`, into one directory.
 
-
-def _run_specs(specs, on_run=None) -> tuple:
-    """One ResultRow per spec from its seeded runs, and the failure message or None.
-
-    `on_run(spec, outcome)` sees each finished run; no outcome is kept.  The
-    first run that raises ends the sequence; its spec's finished runs still
-    make a row, so callers write the finished rows before raising RunError."""
-    rows = []
-    for spec in specs:
+    Creates the directory (`out_dir`, else `spec.out`), echoes `spec` to
+    config.txt and writes results.csv: one ResultRow per spec, timed when
+    `spec.timing` is set.  Returns (out, rows, outcomes, failure), with
+    one (spec, outcome) per finished run.  The first run that raises ends
+    the sequence and names the failure; its spec's finished runs still
+    make a row.  Callers write their own artifacts, then raise RunError.
+    """
+    out = Path(out_dir) if out_dir is not None else Path(spec.out)
+    out.mkdir(parents=True, exist_ok=True)
+    echo_config(spec, out)
+    rows, outcomes, failure = [], [], None
+    for sub in specs:
+        started = time.perf_counter()
         per_run = []
-        for run_index in range(spec.runs):
+        for run_index in range(sub.runs):
             try:
-                outcome = single_run(spec, run_index)
+                outcome = single_run(sub, run_index)
             except Exception as exc:  # any aborted run must flag partial output
-                rows += [ResultRow(spec, per_run)] if per_run else []
-                return rows, f"run {run_index} (seed {spec.seed + run_index}) failed: {exc}"
-            if on_run is not None:
-                on_run(spec, outcome)
+                failure = f"run {run_index} (seed {sub.seed + run_index}) failed: {exc}"
+                break
+            outcomes.append((sub, outcome))
             per_run.append(outcome["mse"])
-        rows.append(ResultRow(spec, per_run))
-    return rows, None
+        if per_run:
+            seconds = time.perf_counter() - started if spec.timing else None
+            rows.append(ResultRow(sub, per_run, seconds))
+        if failure:
+            break
+    write_results_csv(rows, out / "results.csv")
+    return out, rows, outcomes, failure
 
 
 def run_benchmark(spec: ExperimentSpec, out_dir=None) -> list:
-    """Execute spec.runs seeded cycles; write results.csv/log.jsonl/summary.txt.
+    """Execute spec.runs seeded cycles; adds log.jsonl, summary.txt and heatmaps.
 
     A run that aborts still leaves the completed runs' artifacts behind
     (flagged in summary.txt) before the error propagates as RunError.
     """
-    out = _ensure_out(spec, out_dir)
-    echo_config(spec, out)
-    run_records = []
-    started = time.perf_counter()
-    rows, failure = _run_specs([spec], lambda _, outcome: run_records.append(
-        (len(run_records), outcome["seed"], outcome["records"])))
-    if rows and spec.timing:
-        rows[0].seconds = time.perf_counter() - started
-    write_results_csv(rows, out / "results.csv")
-    _write_log(out, run_records)
-    if run_records and spec.log_matrix_every > 0:
-        export_heatmaps(run_records[0][2], out)
+    out, rows, outcomes, failure = _run_specs(spec, [spec], out_dir)
+    with open(out / "log.jsonl", "w") as fh:
+        for run_index, (_, outcome) in enumerate(outcomes):
+            for record in outcome["records"]:
+                line = {"run": run_index, "seed": outcome["seed"], **record}
+                fh.write(json.dumps(line, sort_keys=True) + "\n")
+    if outcomes and spec.trlearner and spec.log_matrix_every > 0:
+        export_heatmaps(outcomes[0][1]["records"], out)
     _write_summary(out, [summary_line(row) for row in rows], failure)
     return rows
 
@@ -311,10 +311,7 @@ def sweep_lambda(spec: ExperimentSpec, values=LAMBDA_GRID, out_dir=None) -> list
     if not values:
         raise ConfigError("empty lambda grid")
     specs = [replace(spec, lam=float(value), trlearner=True) for value in values]
-    out = _ensure_out(spec, out_dir)
-    echo_config(spec, out)
-    rows, failure = _run_specs(specs)
-    write_results_csv(rows, out / "results.csv")
+    out, rows, _, failure = _run_specs(spec, specs, out_dir)
     if failure:
         raise RunError(failure)
     svg = sp.line_plot([float(v) for v in values], [row.mse_mean for row in rows],
@@ -327,35 +324,23 @@ def sweep_lambda(spec: ExperimentSpec, values=LAMBDA_GRID, out_dir=None) -> list
 def ablate_matrix(spec: ExperimentSpec, out_dir=None) -> list:
     """Learned vs fixed relation matrix on paired seeds; fixed must not train."""
     specs = [replace(spec, matrix_mode=mode, trlearner=True) for mode in ml.MATRIX_MODES]
-    out = _ensure_out(spec, out_dir)
-    echo_config(spec, out)
-
-    def check_frozen(sub, outcome):
-        omega = outcome["layer"].omega
-        if sub.matrix_mode == "fixed" and not np.array_equal(omega, np.ones_like(omega)):
-            raise RunError("fixed matrix mode updated omega")
-
-    rows, failure = _run_specs(specs, check_frozen)
-    write_results_csv(rows, out / "results.csv")
+    out, rows, outcomes, failure = _run_specs(spec, specs, out_dir)
+    if failure is None and any(
+            sub.matrix_mode == "fixed" and not np.all(o["layer"].omega == 1.0)
+            for sub, o in outcomes):
+        failure = "fixed matrix mode updated omega"
     _write_summary(out, [summary_line(row) + f" [matrix={row.matrix_mode}]" for row in rows],
                    failure)
     return rows
 
 
 def export_heatmaps(records: list, out_dir) -> list:
-    """Write matrix_epochNNN.csv/.svg for every logged snapshot in records.
-
-    Multi-run logs export only the first run; later runs revisit the
-    same epochs and would silently overwrite the files.
-    """
-    with_matrix = [r for r in records if r.get("matrix") is not None]
-    if with_matrix:
-        first_run = min(r.get("run", 0) for r in with_matrix)
-        with_matrix = [r for r in with_matrix if r.get("run", 0) == first_run]
+    """Write matrix_epochNNN.csv/.svg for every matrix snapshot in one run's records."""
     written = []
-    for record in with_matrix:
-        matrix = record["matrix"]
-        rows = [[float(v) for v in row] for row in matrix]
+    for record in records:
+        rows = record.get("matrix")
+        if rows is None:
+            continue
         tag = f"matrix_epoch{record['epoch'] + 1:03d}"
         csv_path = out_dir / f"{tag}.csv"
         with open(csv_path, "w", newline="") as fh:
@@ -368,9 +353,3 @@ def export_heatmaps(records: list, out_dir) -> list:
     if not written:
         log.warning("no matrix snapshots in log; nothing exported")
     return written
-
-
-def _ensure_out(spec: ExperimentSpec, out_dir) -> Path:
-    out = Path(out_dir) if out_dir is not None else Path(spec.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out

@@ -71,7 +71,8 @@ class MetaConfig:
         for key in ("alpha", "beta", "lam", "momentum", "weight_decay"):
             value = getattr(self, key)
             # alpha/beta 0 is allowed: degenerate rates are used as probes.
-            if not np.isfinite(value) or (key in ("alpha", "beta", "lam") and value < 0):
+            # momentum 1 would divide by zero in Adam's bias correction.
+            if not np.isfinite(value) or value < 0 or (key == "momentum" and value >= 1):
                 bad.append(f"{key}={value}")
         if self.method not in METHODS:
             bad.append(f"method={self.method!r}")
@@ -138,9 +139,7 @@ def _inner_rates(mv: nn.ModelVars, config: MetaConfig, head_only: bool):
         return None
     if mv.rates is None:
         raise MetaLearnError("metasgd requires inner rates; call model.enable_inner_rates(alpha)")
-    if head_only:
-        return mv.head_rate_params()
-    return mv.extractor_rate_params() + mv.head_rate_params()
+    return [v for pair in (mv.rates[-1:] if head_only else mv.rates) for v in pair]
 
 
 def _adapt(mv: nn.ModelVars, head: list, support_x, support_y, config: MetaConfig,

@@ -48,8 +48,6 @@ class MetaModel:
             raise ModelError(f"input_scale must be finite and positive, got {input_scale}")
         self.input_scale = float(input_scale)
         self.layer_sizes = [int(w) for w in layer_sizes]
-        self.n_heads = int(n_heads)
-        self.seed = int(seed)
         rng = np.random.default_rng(seed)
         self.extractor = []
         for fan_in, fan_out in zip(self.layer_sizes, self.layer_sizes[1:]):
@@ -59,7 +57,7 @@ class MetaModel:
         d = self.feature_width
         lim = 1.0 / np.sqrt(d)
         self.heads = [
-            (rng.uniform(-lim, lim, size=(d, 1)), np.zeros(1)) for _ in range(self.n_heads)
+            (rng.uniform(-lim, lim, size=(d, 1)), np.zeros(1)) for _ in range(int(n_heads))
         ]
         self.inner_rates = None
 
@@ -115,7 +113,8 @@ class ModelVars:
 
     `named` holds one (name, leaf) pair per `model.named_params()` entry, in
     that order; `extractor`, `heads` and `rates` are (w, b) views of the
-    same leaves (`rates` is None without inner rates).
+    same leaves.  `rates` follows the extractor's order and ends with the
+    pair every head shares; it is None without inner rates.
     """
 
     __slots__ = ("model", "tape", "named", "extractor", "heads", "rates")
@@ -138,14 +137,6 @@ class ModelVars:
         if not 0 <= i < len(self.heads):
             raise ModelError(f"head index {i} out of range [0, {len(self.heads)})")
         return list(self.heads[i])
-
-    def extractor_rate_params(self) -> list:
-        """Rates of the extractor parameters, flat in extractor_params() order."""
-        return [v for pair in self.rates[:-1] for v in pair]
-
-    def head_rate_params(self) -> list:
-        """The one (w, b) rate pair that every head shares."""
-        return list(self.rates[-1])
 
 
 def bind(model: MetaModel, tape: ad.Tape) -> ModelVars:

@@ -28,15 +28,13 @@ class RelationError(Exception):
 class SimilarityLayer:
     """K mask vectors over the representation width; trained by the outer loop."""
 
-    __slots__ = ("k", "width", "omega")
+    __slots__ = ("omega",)
 
     def __init__(self, k: int, width: int):
         if k < 1:
             raise RelationError(f"need at least one similarity head, got {k}")
         if width < 1:
             raise RelationError(f"representation width must be positive, got {width}")
-        self.k = k
-        self.width = width
         self.omega = np.ones((k, width))
 
 

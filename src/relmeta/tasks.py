@@ -88,8 +88,8 @@ class TaskBatch:
 def _check_gen_args(n_support: int, n_query: int, noise_sd: float) -> None:
     if n_support < 1 or n_query < 1:
         raise TaskError(f"need n_support, n_query >= 1, got {n_support}, {n_query}")
-    if noise_sd < 0:
-        raise TaskError(f"noise_sd must be nonnegative, got {noise_sd}")
+    if not 0 <= noise_sd < np.inf:  # NaN fails too; it would read as noise-free
+        raise TaskError(f"noise_sd must be finite and nonnegative, got {noise_sd}")
 
 
 def _draw_x(rng, n: int, family: str) -> np.ndarray:

@@ -287,7 +287,7 @@ class TestBackward:
         scan = [i for i, node in enumerate(tape.nodes) if node.op == "leaf"]
         assert tape.leaves == scan
         twin, twin_out = build_mixed_tape(steps)
-        got, want = ad.backward(out), ad._walk(twin_out, None, scan)
+        got, want = ad.backward(out), ad._walk(twin_out, scan)
         assert list(got) == list(want)
         assert all(got[i].array.tobytes() == want[i].array.tobytes() for i in got)
         assert [n.op for n in tape.nodes] == [n.op for n in twin.nodes]
@@ -320,12 +320,6 @@ class TestBackward:
         for p, g in zip(params, ad.grad(loss, params)):
             assert isinstance(adjoints[p.index], ad.Var) and adjoints[p.index].tape is tape
             assert np.array_equal(adjoints[p.index].array, g.array)
-
-    def test_seed_shape_mismatch(self):
-        tape = ad.Tape()
-        x = tape.leaf([1.0, 2.0])
-        with pytest.raises(ad.ShapeError, match="seed"):
-            ad.backward(ad.square(x), seed=np.ones((3,)))
 
     def test_mlp_matches_finite_differences(self):
         # oracle: central differences, h=1e-5, over 100 random seeds

@@ -1,7 +1,10 @@
 import argparse
 import csv
 import json
+import re
+import shlex
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -191,6 +194,13 @@ class TestRunBenchmark:
         assert (tmp_path / "matrix_epoch001.csv").exists()
         assert (tmp_path / "matrix_epoch001.svg").exists()
 
+    def test_no_heatmaps_or_warning_without_trlearner(self, tmp_path, caplog):
+        spec = tiny_spec(tmp_path, log_matrix_every=1, trlearner="off")
+        with caplog.at_level("WARNING"):
+            hz.run_benchmark(spec)
+        assert "no matrix snapshots" not in caplog.text
+        assert not list(tmp_path.glob("matrix_epoch*"))
+
 
 class TestSweepAndAblate:
     def test_sweep_rows_match_grid(self, tmp_path):
@@ -219,6 +229,23 @@ class TestSweepAndAblate:
         rows = hz.ablate_matrix(spec)
         assert [row.matrix_mode for row in rows] == ["learned", "fixed"]
         assert all(row.trlearner for row in rows)
+
+    def test_ablate_unfrozen_omega_is_partial(self, tmp_path, monkeypatch):
+        real = hz.single_run
+
+        def leaky(spec, run_index):
+            outcome = real(spec, run_index)
+            if spec.matrix_mode == "fixed":
+                outcome["layer"].omega[0, 0] = 2.0
+            return outcome
+
+        monkeypatch.setattr(hz, "single_run", leaky)
+        with pytest.raises(hz.RunError, match="fixed matrix mode updated omega"):
+            hz.ablate_matrix(tiny_spec(tmp_path, runs=1))
+        with open(tmp_path / "results.csv") as fh:
+            assert [r["matrix_mode"] for r in csv.DictReader(fh)] == ["learned", "fixed"]
+        summary = (tmp_path / "summary.txt").read_text().splitlines()
+        assert summary[-1] == "PARTIAL: fixed matrix mode updated omega"
 
     def test_learned_mode_moves_omega(self, tmp_path):
         spec = tiny_spec(tmp_path, batches_per_epoch=5, matrix_mode="learned")
@@ -249,16 +276,6 @@ class TestHeatmapExport:
             written = hz.export_heatmaps([{"epoch": 0}], tmp_path)
         assert written == []
         assert "no matrix snapshots" in caplog.text
-
-    def test_multi_run_log_exports_first_run_only(self, tmp_path):
-        records = [
-            {"run": 0, "epoch": 0, "matrix": [[0.0, 1.0], [1.0, 0.0]]},
-            {"run": 1, "epoch": 0, "matrix": [[0.0, 0.5], [0.5, 0.0]]},
-        ]
-        written = hz.export_heatmaps(records, tmp_path)
-        assert len(written) == 2
-        loaded = np.loadtxt(tmp_path / "matrix_epoch001.csv", delimiter=",")
-        assert loaded[0, 1] == 1.0
 
 
 class TestCli:
@@ -320,8 +337,12 @@ class TestCli:
         ("bench", ["--metadata-strategy", "bogus"], "metadata_strategy='bogus'"),
         ("sweep-lambda", ["--values", "0.3,-1"], "lam=-1.0"),
         ("ablate-matrix", ["--batch-tasks", "1", "--trlearner", "off"], "batch_tasks >= 2"),
+        ("bench", ["--optimizer", "adam", "--momentum", "1"], "momentum=1.0"),
+        ("bench", ["--momentum", "-0.5"], "momentum=-0.5"),
+        ("bench", ["--weight-decay", "-1"], "weight_decay=-1.0"),
     ], ids=["seed", "noise-sd", "hidden-zero", "hidden-negative", "strategy", "sweep-value",
-            "ablate-one-task"])
+            "ablate-one-task", "adam-momentum-one", "negative-momentum",
+            "negative-weight-decay"])
     def test_invalid_value_writes_nothing(self, tmp_path, capsys, command, flags, message):
         out = tmp_path / "out"
         assert cli.main([command, *self.bench_args(out)[1:], *flags]) == 2
@@ -370,28 +391,13 @@ class TestCli:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 1 and rows[0].items() >= finished.items()
 
-    def test_heatmap_subcommand(self, tmp_path):
-        spec = tiny_spec(tmp_path / "run", log_matrix_every=1, runs=1)
-        hz.run_benchmark(spec)
-        out = tmp_path / "maps"
-        code = cli.main(["heatmap", "--log", str(tmp_path / "run" / "log.jsonl"),
-                         "--out", str(out)])
-        assert code == 0
-        assert (out / "matrix_epoch001.csv").exists()
-
-    @pytest.mark.parametrize("lines, message", [
-        (['{"epoch": 0}', "not json"], ":2: Expecting value"),
-        (['{"epoch": 0}', "[1, 2]"], ":2: expected a JSON object, got list"),
-        (['{"epoch": 0, "matrix": [[0.0, 1.0], [1.0]]}'], ":1: 'matrix' is not a grid"),
-    ], ids=["not-json", "not-object", "ragged-matrix"])
-    def test_heatmap_malformed_log(self, tmp_path, capsys, lines, message):
-        log = tmp_path / "log.jsonl"
-        log.write_text("\n".join(lines) + "\n")
-        out = tmp_path / "maps"
-        assert cli.main(["heatmap", "--log", str(log), "--out", str(out)]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith(f"run failed: {log}{message}") and "Traceback" not in err
-        assert not out.exists()
+    @pytest.mark.parametrize("command, n_rows", [("sweep-lambda", 6), ("ablate-matrix", 2)],
+                             ids=["sweep-lambda", "ablate-matrix"])
+    def test_timing_fills_every_row(self, tmp_path, command, n_rows):
+        assert cli.main([command, *self.bench_args(tmp_path)[1:], "--timing"]) == 0
+        with open(tmp_path / "results.csv") as fh:
+            seconds = [r["seconds"] for r in csv.DictReader(fh)]
+        assert len(seconds) == n_rows and all(float(s) > 0 for s in seconds)
 
     def test_pool_size_none_flag(self, tmp_path):
         args = cli.build_parser().parse_args(
@@ -438,6 +444,14 @@ class TestCliSurface:
                         for line in (tmp_path / "config.txt").read_text().splitlines())
         args = cli.build_parser().parse_args(["bench", *spec_flags(settings)])
         assert hz.parse_config(None, cli._overrides(args)) == spec
+
+    def test_readme_cli_block_parses(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = re.search(r"^## CLI\n+```sh\n(.*?)^```", readme, re.S | re.M).group(1)
+        commands = [line for line in block.splitlines() if line.startswith("relmeta ")]
+        assert len(commands) >= 4
+        for line in commands:
+            cli.build_parser().parse_args(shlex.split(line)[1:])
 
     def test_golden_case_through_cli(self, tmp_path, capsys):
         golden = json.loads(gold.FIXTURE.read_text())["maml-trl"]

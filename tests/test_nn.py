@@ -189,8 +189,9 @@ class TestInnerRates:
         m.enable_inner_rates(0.05)
         tape = ad.Tape()
         mv = nn.bind(m, tape)
-        assert len(mv.extractor_rate_params()) == 2
-        assert len(mv.head_rate_params()) == 2
+        assert [[v.shape for v in pair] for pair in mv.rates] == [[(1, 8), (8,)], [(8, 1), (1,)]]
+        assert [name for name, _ in mv.named[-4:]] == ["lr.g0.w", "lr.g0.b", "lr.h.w", "lr.h.b"]
+        assert [v for pair in mv.rates for v in pair] == [v for _, v in mv.named[-4:]]
         m2 = nn.init_model([1, 8], 2, seed=0)
         mv2 = nn.bind(m2, ad.Tape())
         assert mv2.rates is None

@@ -104,6 +104,17 @@ class TestGenerators:
         with pytest.raises(tk.TaskError, match="noise_sd"):
             tk.gen_harmonic(0, 5, 5, noise_sd=-0.1)
 
+    @pytest.mark.parametrize("noise_sd", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("make", [
+        lambda sd: tk.gen_sinusoid(0, 5, 5, noise_sd=sd),
+        lambda sd: tk.gen_harmonic(0, 5, 5, noise_sd=sd),
+        lambda sd: tk.TaskSource("sinusoid", 5, 5, noise_sd=sd),
+    ], ids=["sinusoid", "harmonic", "source"])
+    def test_rejects_non_finite_noise(self, make, noise_sd):
+        # NaN would read as noise-free (nan > 0 is false); inf gives infinite targets
+        with pytest.raises(tk.TaskError, match="noise_sd must be finite"):
+            make(noise_sd)
+
 
 class TestMetadata:
     def test_full_uniform_equals_support(self):
