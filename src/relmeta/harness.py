@@ -93,9 +93,7 @@ class ExperimentSpec(ml.MetaConfig):
             raise ConfigError(str(exc)) from exc
 
     def to_meta_config(self, seed: int) -> ml.MetaConfig:
-        kw = {f.name: getattr(self, f.name) for f in fields(ml.MetaConfig)}
-        kw["seed"] = int(seed)
-        return ml.MetaConfig(**kw)
+        return replace(self, seed=int(seed))
 
 
 _DEFAULTS = {f.name: f.default for f in fields(ExperimentSpec)}
@@ -239,9 +237,12 @@ def single_run(spec: ExperimentSpec, run_index: int) -> dict:
     source = tk.TaskSource(spec.dataset, spec.shots, spec.queries,
                            noise_sd=spec.noise_sd, seed=seed,
                            pool_size=spec.pool_size)
-    records = ml.train(model, layer, source, config)
-    result = ml.evaluate(model, [source.eval_task(i) for i in range(spec.eval_tasks)],
-                         config)
+    # A diverging run overflows inside the engine, which reports the
+    # non-finite loss itself and names the task.
+    with np.errstate(over="ignore", invalid="ignore"):
+        records = ml.train(model, layer, source, config)
+        result = ml.evaluate(model, [source.eval_task(i) for i in range(spec.eval_tasks)],
+                             config)
     return {"seed": seed, "mse": result["mean"], "records": records,
             "model": model, "layer": layer}
 

@@ -3,7 +3,7 @@
 One meta-batch is recorded on a fresh tape in a fixed phase order:
 
   A. bind model parameters (and similarity masks) as tape leaves
-  B. task representations and the relation matrix, when enabled
+  B. task representations, the relation matrix and its trust weights, when enabled
   C. inner adaptation of every task on its meta-data support set
   D. per-task query losses, plus the weighted consistency term
   E. one backward pass over the averaged objective
@@ -197,7 +197,7 @@ def trlearner_loss(adapted_models: list, matrix: rel.RelationMatrix, i: int, x: 
     for p in range(n):
         if p == i:
             continue
-        w = matrix.weight_var(i, p)
+        w = matrix.weights[i][p]
         terms.append(ad.mul(w, adapted_models[p].predict(x)))
         weights.append(w)
     return task_loss(ad.div(ad.add_n(terms), ad.add_n(weights)), y)
@@ -353,7 +353,10 @@ def adapted_query_mse(model: nn.MetaModel, task: tk.TaskInstance, config: MetaCo
                      True, "an evaluation task")
     qx = tape.constant(task.query_x)
     qy = tape.constant(task.query_y)
-    return float(task_loss(adapted.predict(qx), qy).array)
+    loss = float(task_loss(adapted.predict(qx), qy).array)
+    if not math.isfinite(loss):
+        raise MetaLearnError("non-finite query loss for an evaluation task")
+    return loss
 
 
 def summarize(values: list) -> tuple:
@@ -369,12 +372,11 @@ def summarize(values: list) -> tuple:
 
 
 def evaluate(model: nn.MetaModel, eval_tasks: list, config: MetaConfig) -> dict:
-    """Per-task adapted query MSE, aggregated as mean and 95% CI half-width."""
+    """Per-task adapted query MSE and its mean."""
     if not eval_tasks:
         raise MetaLearnError("no evaluation tasks given")
     per_task = [adapted_query_mse(model, t, config) for t in eval_tasks]
-    mean, ci = summarize(per_task)
-    return {"mean": mean, "ci95": ci, "per_task": per_task}
+    return {"mean": float(np.mean(per_task)), "per_task": per_task}
 
 
 def train(model: nn.MetaModel, layer, source: tk.TaskSource, config: MetaConfig) -> list:

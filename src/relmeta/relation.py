@@ -3,8 +3,10 @@
 A task's representation is the mean extractor feature of its meta-data
 support points.  Relations are masked cosine similarities averaged over K
 learnable mask vectors (all-ones at init, so the layer starts as plain
-cosine similarity).  The matrix feeds the consistency regularizer, which
-trusts predictions from related tasks more than unrelated ones.
+cosine similarity).  Each unordered pair's trust weight
+max(m_ij, 0) + floor is recorded right after its relation m_ij; the
+consistency regularizer reads those weights, trusting predictions from
+related tasks more than unrelated ones.
 """
 
 from __future__ import annotations
@@ -47,34 +49,18 @@ def task_representation(mv: nn.ModelVars, metadata) -> ad.Var:
 
 
 class RelationMatrix:
-    """Symmetric pairwise relations: an n x n grid of 0-d Vars, None on the diagonal.
+    """Read-only relation `values()` and a symmetric grid of trust-weight 0-d Vars.
 
-    Each unordered pair is one Var, at (i, j) and (j, i).  Entries stay on
-    the tape so outer gradients reach the mask vectors (and, when enabled,
-    the extractor through the representations).  Trust weights are
-    recorded on first use and shared by both orders.
+    One Var per unordered pair, at (i, j) and (j, i), None on the diagonal;
+    on the tape, so outer gradients reach the masks (and, when enabled, the extractor).
     """
 
-    __slots__ = ("_entries", "_weights", "_values")
+    __slots__ = ("_values", "weights")
 
-    def __init__(self, entries: list):
-        self._entries = entries
-        self._weights = [[None] * len(entries) for _ in entries]
-        self._values = np.array([[0.0 if e is None else float(e.array) for e in row]
-                                 for row in entries])
-        self._values.flags.writeable = False
-
-    def entry(self, i: int, j: int) -> ad.Var:
-        if i == j:
-            raise RelationError("diagonal entries are undefined")
-        return self._entries[i][j]
-
-    def weight_var(self, i: int, j: int) -> ad.Var:
-        """Clamped trust weight max(m_ij, 0) + floor; one Var per unordered pair."""
-        w = self._weights[i][j]
-        if w is None:
-            w = self._weights[i][j] = self._weights[j][i] = ad.sadd(ad.relu(self.entry(i, j)), WEIGHT_FLOOR)
-        return w
+    def __init__(self, values: np.ndarray, weights: list):
+        values.flags.writeable = False
+        self._values = values
+        self.weights = weights
 
     def values(self) -> np.ndarray:
         """The dense matrix, diagonal 0; read-only."""
@@ -84,7 +70,8 @@ class RelationMatrix:
 def build_matrix(omega: ad.Var, representations: list) -> RelationMatrix:
     """Mean over heads k of cos(omega_k * z_i, omega_k * z_j) for every pair i < j.
 
-    A head whose masked representation has zero norm has no cosine; it
+    Each relation is followed on the tape by its trust weight.  A head
+    whose masked representation has zero norm has no cosine; it
     contributes 0 instead of NaN, and one warning per call counts them.
     """
     n = len(representations)
@@ -102,7 +89,8 @@ def build_matrix(omega: ad.Var, representations: list) -> RelationMatrix:
     for w_k in masks:
         row = [ad.mul(w_k, z) for z in representations]
         masked.append([u if np.linalg.norm(u.array) != 0.0 else None for u in row])
-    entries = [[None] * n for _ in range(n)]
+    values = np.zeros((n, n))
+    weights = [[None] * n for _ in range(n)]
     zero_heads = 0
     for i in range(n):
         for j in range(i + 1, n):
@@ -113,21 +101,16 @@ def build_matrix(omega: ad.Var, representations: list) -> RelationMatrix:
                     cosines.append(omega.tape.constant(np.array(0.0)))
                 else:
                     cosines.append(ad.cosine_similarity(row[i], row[j]))
-            entries[i][j] = entries[j][i] = ad.smul(ad.add_n(cosines), 1.0 / k)
+            m_ij = ad.smul(ad.add_n(cosines), 1.0 / k)
+            values[i, j] = values[j, i] = float(m_ij.array)
+            weights[i][j] = weights[j][i] = ad.sadd(ad.relu(m_ij), WEIGHT_FLOOR)
     if zero_heads:
         log.warning("%d of %d masked cosines had a zero-norm representation and contribute 0",
                     zero_heads, k * n * (n - 1) // 2)
-    return RelationMatrix(entries)
-
-
-def nonneg_weights(matrix: RelationMatrix) -> np.ndarray:
-    """Dense clamped weights; off-diagonal in [floor, 1 + floor], diagonal 0."""
-    w = np.maximum(matrix.values(), 0.0) + WEIGHT_FLOOR
-    np.fill_diagonal(w, 0.0)
-    return w
+    return RelationMatrix(values, weights)
 
 
 def export_normalized(matrix: RelationMatrix) -> np.ndarray:
-    """Rows of clamped weights scaled to sum to 1 (diagonal excluded)."""
-    w = nonneg_weights(matrix)
+    """Rows of the recorded weights scaled to sum to 1 (diagonal excluded)."""
+    w = np.array([[0.0 if v is None else float(v.array) for v in row] for row in matrix.weights])
     return w / w.sum(axis=1, keepdims=True)

@@ -3,6 +3,7 @@ import csv
 import json
 import re
 import shlex
+import warnings
 from dataclasses import fields
 from pathlib import Path
 
@@ -364,6 +365,16 @@ class TestCli:
         args = ["sweep-lambda", *self.bench_args(tmp_path)[1:], "--values", "0.3,abc"]
         assert cli.main(args) == 2
         assert "config error: values" in capsys.readouterr().err
+
+    def test_diverging_run_reports_without_numpy_warnings(self, tmp_path, capsys):
+        args = ["bench", "--out", str(tmp_path), "--method", "metasgd", "--runs", "1",
+                "--epochs", "1", "--batches-per-epoch", "60", "--val-tasks", "0",
+                "--eval-tasks", "2"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(args) == 3
+        assert "non-finite outer objective" in capsys.readouterr().err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_run_error_exit_code(self, tmp_path, capsys, monkeypatch):
         def boom(spec, run_index):

@@ -158,12 +158,13 @@ class _StubModel:
 
 
 class _StubMatrix:
-    def __init__(self, tape, weights):
-        self.tape = tape
-        self.weights = weights
+    """A `weights` grid of constants from {(i, j): value}; stands in for a RelationMatrix."""
 
-    def weight_var(self, i, j):
-        return self.tape.constant(np.array(self.weights[(i, j)]))
+    def __init__(self, tape, weights):
+        n = max(max(pair) for pair in weights) + 1
+        self.weights = [[None] * n for _ in range(n)]
+        for (i, j), w in weights.items():
+            self.weights[i][j] = tape.constant(np.array(w))
 
 
 class TestTrlearnerLoss:
@@ -484,6 +485,16 @@ class TestEvaluate:
         pre = ml.adapted_query_mse(model, task, small_config(eval_inner_steps=0))
         post = ml.adapted_query_mse(model, task, config)
         assert post < pre
+
+    def test_non_finite_query_loss_raises(self):
+        # the one inner step is finite; the huge rate sends the query loss to inf
+        config = ml.MetaConfig(alpha=1e10, trlearner=False, eval_inner_steps=1)
+        model = nn.init_model([1, 8], 2, 0)
+        x = np.linspace(-1.0, 1.0, 4)
+        task = tk.TaskInstance("sinusoid", {}, 0.0, x, [1e150, -1e150, 1e150, -1e150], x, np.zeros(4))
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ml.MetaLearnError, match="non-finite query loss for an evaluation task"):
+            ml.adapted_query_mse(model, task, config)
 
     def test_evaluate_aggregates(self):
         config = small_config()

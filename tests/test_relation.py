@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import relmeta.autodiff as ad
+import relmeta.metalearn as ml
 import relmeta.nn as nn
 import relmeta.relation as rel
 import relmeta.tasks as tk
@@ -68,26 +69,39 @@ class TestTaskRepresentation:
 
 
 def relation(omega, z_i, z_j):
-    """The one relation entry of a two-task matrix."""
-    return rel.build_matrix(omega, [z_i, z_j]).entry(0, 1)
+    """The one relation value of a two-task matrix."""
+    return float(rel.build_matrix(omega, [z_i, z_j]).values()[0, 1])
+
+
+def weight(omega, z_i, z_j):
+    """The one trust weight of a two-task matrix, a 0-d Var."""
+    return rel.build_matrix(omega, [z_i, z_j]).weights[0][1]
+
+
+def positive_pair(omega0, z1, z2):
+    """z1 and z2 or -z2, whichever makes the relation positive (it is odd in
+    z2); there the weight's gradient is the relation's."""
+    tape = ad.Tape()
+    m = relation(tape.leaf(omega0), vec(tape, z1), vec(tape, z2))
+    assert m != 0.0
+    return z1, (z2 if m > 0 else -z2)
 
 
 class TestComputeRelation:
-    """One relation entry: build_matrix on two tasks."""
+    """One relation and its weight: build_matrix on two tasks."""
 
     def test_self_relation_is_one(self):
         tape = ad.Tape()
         omega = tape.leaf(np.random.default_rng(0).uniform(0.5, 2.0, size=(3, 5)))
         z = vec(tape, [1.0, -2.0, 0.5, 3.0, 0.1])
-        m = relation(omega, z, z)
-        assert float(m.array) == pytest.approx(1.0, abs=1e-12)
+        assert relation(omega, z, z) == pytest.approx(1.0, abs=1e-12)
 
     def test_orthogonal_is_zero(self):
         tape = ad.Tape()
         omega = tape.leaf(np.ones((4, 2)))
         a = vec(tape, [1.0, 0.0])
         b = vec(tape, [0.0, 1.0])
-        assert float(relation(omega, a, b).array) == pytest.approx(0.0, abs=1e-15)
+        assert relation(omega, a, b) == pytest.approx(0.0, abs=1e-15)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(3)
@@ -97,8 +111,8 @@ class TestComputeRelation:
             z1 = rng.normal(size=6)
             z2 = rng.normal(size=6)
             c = rng.uniform(1e-3, 10.0)
-            base = float(relation(omega, vec(tape, z1), vec(tape, z2)).array)
-            scaled = float(relation(omega, vec(tape, c * z1), vec(tape, z2)).array)
+            base = relation(omega, vec(tape, z1), vec(tape, z2))
+            scaled = relation(omega, vec(tape, c * z1), vec(tape, z2))
             assert abs(base - scaled) < 1e-9
 
     def test_all_ones_masks_reduce_to_plain_cosine(self):
@@ -107,7 +121,7 @@ class TestComputeRelation:
             tape = ad.Tape()
             omega = tape.leaf(np.ones((k, 8)))
             z1, z2 = rng.normal(size=8), rng.normal(size=8)
-            got = float(relation(omega, vec(tape, z1), vec(tape, z2)).array)
+            got = relation(omega, vec(tape, z1), vec(tape, z2))
             assert abs(got - plain_cosine(z1, z2)) < 1e-12
 
     def test_zero_norm_contributes_zero_not_nan(self):
@@ -115,8 +129,7 @@ class TestComputeRelation:
         omega = tape.leaf(np.ones((2, 3)))
         z = vec(tape, [0.0, 0.0, 0.0])
         other = vec(tape, [1.0, 2.0, 3.0])
-        m = relation(omega, z, other)
-        assert float(m.array) == 0.0
+        assert relation(omega, z, other) == 0.0
 
     def test_mask_zeroing_one_head(self):
         # One head masked to a zero vector: that head yields 0, the other
@@ -126,7 +139,7 @@ class TestComputeRelation:
         a = vec(tape, [1.0, 1.0])
         b = vec(tape, [1.0, 0.0])
         want = plain_cosine(np.array([1.0, 1.0]), np.array([1.0, 0.0])) / 2.0
-        assert float(relation(omega, a, b).array) == pytest.approx(want, abs=1e-12)
+        assert relation(omega, a, b) == pytest.approx(want, abs=1e-12)
 
     def test_shape_mismatch_rejected(self):
         tape = ad.Tape()
@@ -142,34 +155,34 @@ class TestComputeRelation:
         rng = np.random.default_rng(5)
         for _ in range(20):
             omega0 = rng.uniform(0.5, 1.5, size=(2, 4))
-            z1, z2 = rng.normal(size=4), rng.normal(size=4)
+            z1, z2 = positive_pair(omega0, rng.normal(size=4), rng.normal(size=4))
 
             def f(flat):
                 tape = ad.Tape()
                 om = tape.leaf(flat.reshape(2, 4))
-                return float(relation(om, vec(tape, z1), vec(tape, z2)).array)
+                return float(weight(om, vec(tape, z1), vec(tape, z2)).array)
 
             tape = ad.Tape()
             om = tape.leaf(omega0)
-            m = relation(om, vec(tape, z1), vec(tape, z2))
-            analytic = ad.backward(m)[om.index].array.ravel()
+            w = weight(om, vec(tape, z1), vec(tape, z2))
+            analytic = ad.backward(w)[om.index].array.ravel()
             numeric = finite_diff(f, omega0.ravel())
             assert rel_err(analytic, numeric) < 1e-4
 
     def test_gradient_wrt_representations_matches_fd(self):
         rng = np.random.default_rng(6)
         omega0 = rng.uniform(0.5, 1.5, size=(3, 4))
-        z1, z2 = rng.normal(size=4), rng.normal(size=4)
+        z1, z2 = positive_pair(omega0, rng.normal(size=4), rng.normal(size=4))
 
         def f(flat):
             tape = ad.Tape()
             om = tape.leaf(omega0)
-            return float(relation(om, tape.leaf(flat), vec(tape, z2)).array)
+            return float(weight(om, tape.leaf(flat), vec(tape, z2)).array)
 
         tape = ad.Tape()
         v1 = tape.leaf(z1)
-        m = relation(tape.leaf(omega0), v1, vec(tape, z2))
-        analytic = ad.backward(m)[v1.index].array
+        w = weight(tape.leaf(omega0), v1, vec(tape, z2))
+        analytic = ad.backward(w)[v1.index].array
         assert rel_err(analytic, finite_diff(f, z1)) < 1e-4
 
 
@@ -192,7 +205,7 @@ class TestBuildMatrix:
         matrix = rel.build_matrix(omega, self.rand_reps(tape, np.random.default_rng(0), 2, 3))
         m = matrix.values()
         assert m[0, 1] == m[1, 0]
-        assert matrix.entry(0, 1) is matrix.entry(1, 0)
+        assert matrix.weights[0][1] is matrix.weights[1][0]
 
     def test_one_var_per_pair_and_values_are_its_floats(self):
         n = 4
@@ -201,11 +214,13 @@ class TestBuildMatrix:
         matrix = rel.build_matrix(omega, self.rand_reps(tape, np.random.default_rng(9), n, 3))
         values = matrix.values()
         assert not values.flags.writeable and np.all(np.diag(values) == 0.0)
+        weights = matrix.weights
+        assert len({id(w) for row in weights for w in row if w is not None}) == n * (n - 1) // 2
         for i in range(n):
             for j in range(n):
                 if i != j:
-                    assert matrix.entry(i, j) is matrix.entry(j, i)
-                    assert values[i, j] == float(matrix.entry(i, j).array)
+                    assert weights[i][j] is weights[j][i]
+                    assert float(weights[i][j].array) == max(values[i, j], 0.0) + rel.WEIGHT_FLOOR
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(7)
@@ -289,16 +304,17 @@ class TestBuildMatrix:
         tape = ad.Tape()
         omega = tape.leaf(np.ones((1, 3)))
         matrix = rel.build_matrix(omega, self.rand_reps(tape, np.random.default_rng(1), 3, 3))
-        with pytest.raises(rel.RelationError, match="diagonal"):
-            matrix.entry(1, 1)
+        assert [matrix.weights[i][i] for i in range(3)] == [None] * 3
+        assert np.all(np.diag(matrix.values()) == 0.0)
 
     def test_entries_reach_omega_gradient(self):
         tape = ad.Tape()
         omega = tape.leaf(np.random.default_rng(2).uniform(0.5, 1.5, size=(2, 4)))
-        matrix = rel.build_matrix(omega, self.rand_reps(tape, np.random.default_rng(3), 3, 4))
-        total = matrix.entry(0, 1)
-        for pair in ((0, 2), (1, 2)):
-            total = ad.add(total, matrix.entry(*pair))
+        matrix = rel.build_matrix(omega, self.rand_reps(tape, np.random.default_rng(6), 3, 4))
+        assert np.any(matrix.values() > 0.0)
+        total = matrix.weights[0][1]
+        for i, j in ((0, 2), (1, 2)):
+            total = ad.add(total, matrix.weights[i][j])
         g = ad.backward(total)[omega.index].array
         assert np.any(g != 0.0)
 
@@ -336,61 +352,77 @@ class TestMatrixInvariants:
 
 
 class TestWeights:
-    def make_matrix(self, entries):
-        # entries: dict (i,j)->value on a throwaway tape
+    @staticmethod
+    def make_matrix(reps):
+        """build_matrix on the plain cosines (one all-ones head) of `reps`."""
         tape = ad.Tape()
-        n = max(max(k) for k in entries) + 1
-        grid = [[None] * n for _ in range(n)]
-        for (i, j), v in entries.items():
-            grid[i][j] = grid[j][i] = tape.constant(np.array(v))
-        return rel.RelationMatrix(grid)
+        reps = [vec(tape, z) for z in reps]
+        return rel.build_matrix(tape.leaf(np.ones((1, reps[0].shape[0]))), reps)
+
+    @staticmethod
+    def dense(matrix):
+        return np.array([[0.0 if w is None else float(w.array) for w in row] for row in matrix.weights])
 
     def test_clamp_examples(self):
-        matrix = self.make_matrix({(0, 1): -0.5, (0, 2): 0.8, (1, 2): 0.0})
-        w = rel.nonneg_weights(matrix)
-        assert w[0, 1] == pytest.approx(1e-6, abs=1e-18)
+        # cosines: (0, 1) -1, (0, 2) 0.8, (1, 2) -0.8
+        matrix = self.make_matrix([[1.0, 0.0], [-1.0, 0.0], [0.8, 0.6]])
+        w = self.dense(matrix)
+        assert w[0, 1] == rel.WEIGHT_FLOOR and w[1, 2] == rel.WEIGHT_FLOOR
         assert w[0, 2] == pytest.approx(0.8 + 1e-6, abs=1e-15)
         assert np.all(np.diag(w) == 0.0)
 
     def test_all_negative_row_positive_sum(self):
-        matrix = self.make_matrix({(0, 1): -0.9, (0, 2): -1.0, (1, 2): -0.3})
-        w = rel.nonneg_weights(matrix)
-        assert np.all(w.sum(axis=1) > 0.0)
+        # task 0 is opposed to both others
+        matrix = self.make_matrix([[1.0, 0.0], [-1.0, 0.1], [-1.0, -0.1]])
+        assert np.all(matrix.values()[0, 1:] < 0.0)
+        assert np.all(self.dense(matrix).sum(axis=1) > 0.0)
 
-    def test_weight_var_matches_dense(self):
-        tape = ad.Tape()
-        omega = tape.leaf(np.ones((2, 3)))
+    def test_weights_are_the_clamped_values(self):
         rng = np.random.default_rng(4)
-        matrix = rel.build_matrix(omega, [tape.leaf(rng.normal(size=3)) for _ in range(3)])
-        dense = rel.nonneg_weights(matrix)
-        for i in range(3):
-            for j in range(3):
-                if i != j:
-                    assert float(matrix.weight_var(i, j).array) == pytest.approx(dense[i, j], abs=1e-15)
+        for n in (2, 3, 5):
+            matrix = self.make_matrix([rng.normal(size=3) for _ in range(n)])
+            want = np.maximum(matrix.values(), 0.0) + rel.WEIGHT_FLOOR
+            np.fill_diagonal(want, 0.0)
+            assert self.dense(matrix).tobytes() == want.tobytes()
 
-    def test_weight_var_recorded_once_per_pair(self):
+    def test_weights_follow_their_pair(self):
+        # each pair's relation (its scalar-mul) is followed by its relu and
+        # scalar-add; trlearner_loss records no weight of its own
+        n = 4
+        config = ml.MetaConfig(hidden=(8,), batch_tasks=n)
+        model = nn.init_model([1, 8], n, 0)
+        source = tk.TaskSource("sinusoid", 5, 5, seed=0)
+        batch = tk.make_task_batch(source.train_batch(0, 0, n), "uniform", None, seed=(0, 4, 0, 0))
         tape = ad.Tape()
-        omega = tape.leaf(np.ones((2, 3)))
-        rng = np.random.default_rng(4)
-        matrix = rel.build_matrix(omega, [tape.leaf(rng.normal(size=3)) for _ in range(3)])
+        mv = nn.bind(model, tape)
+        reps = [rel.task_representation(mv, md) for md in batch.metadata]
         before = len(tape)
-        w = matrix.weight_var(0, 2)
-        assert matrix.weight_var(2, 0) is w and matrix.weight_var(0, 2) is w
-        assert [node.op for node in tape.nodes[before:]] == ["relu", "scalar-add"]
+        matrix = rel.build_matrix(tape.leaf(np.ones((2, 8))), reps)
+        ops = [node.op for node in tape.nodes[before:]]
+        pairs = [k for k, op in enumerate(ops) if op == "scalar-mul"]
+        assert len(pairs) == n * (n - 1) // 2
+        assert all(ops[k + 1:k + 3] == ["relu", "scalar-add"] for k in pairs)
+        assert ops.count("relu") == ops.count("scalar-add") == len(pairs)
+        adapted = [ml.inner_adapt(mv, i, batch.metadata[i], config) for i in range(n)]
+        x, y = tape.constant(batch.metadata[0].query_x), tape.constant(batch.metadata[0].query_y)
+        before = len(tape)
+        ml.trlearner_loss(adapted, matrix, 0, x, y)
+        assert not {node.op for node in tape.nodes[before:]} & {"relu", "scalar-add"}
 
     def test_dense_view_built_once_read_only(self):
-        matrix = self.make_matrix({(0, 1): 0.4, (0, 2): -0.2, (1, 2): 0.9})
+        matrix = self.make_matrix(np.random.default_rng(1).normal(size=(3, 4)))
         dense = matrix.values()
         assert matrix.values() is dense and not dense.flags.writeable
-        assert rel.export_normalized(matrix)[1, 2] == pytest.approx((0.9 + 1e-6) / (1.3 + 2e-6), abs=1e-15)
+        w = self.dense(matrix)
+        assert rel.export_normalized(matrix)[1, 2] == w[1, 2] / (w[1, 0] + w[1, 2])
 
     def test_normalized_two_tasks(self):
-        matrix = self.make_matrix({(0, 1): 0.37})
+        matrix = self.make_matrix([[0.3, 1.0], [1.0, 0.2]])
         norm = rel.export_normalized(matrix)
         assert norm[0, 1] == 1.0 and norm[1, 0] == 1.0
 
     def test_normalized_uniform(self):
-        matrix = self.make_matrix({(i, j): 0.5 for i in range(4) for j in range(i + 1, 4)})
+        matrix = self.make_matrix([[0.5, -1.0, 2.0]] * 4)
         norm = rel.export_normalized(matrix)
         off = norm[~np.eye(4, dtype=bool)]
         assert np.allclose(off, 1.0 / 3.0, atol=1e-12)
@@ -399,6 +431,5 @@ class TestWeights:
         rng = np.random.default_rng(9)
         for _ in range(100):
             n = int(rng.integers(2, 7))
-            entries = {(i, j): rng.uniform(-1, 1) for i in range(n) for j in range(i + 1, n)}
-            norm = rel.export_normalized(self.make_matrix(entries))
+            norm = rel.export_normalized(self.make_matrix(rng.normal(size=(n, 3))))
             assert np.allclose(norm.sum(axis=1), 1.0, atol=1e-12)
