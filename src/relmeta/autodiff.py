@@ -6,13 +6,13 @@ plain reverse walk implements backpropagation.  Every op other than a leaf
 or a constant is recorded by `_record`, which takes the node's value from
 the op's `_FORWARD` entry, the same function `Tape.replay` calls.
 
-The distinguishing feature is that the backward pass itself is *recorded*:
-each op's vector-Jacobian product is built out of the same primitives, so
-the gradients returned by :func:`grad` are ordinary tape variables.  An
-update of the form ``p - a * grad(loss, p)`` therefore stays inside the
-graph, and a later backward pass differentiates straight through it.  That
-is exactly what one recorded inner gradient-descent step of the bi-level
-training loop needs (see :mod:`relmeta.metalearn`).
+Each op's vector-Jacobian product is built out of the same primitives, and
+:func:`grad` records those VJPs, so the gradients it returns are ordinary
+tape variables.  An update of the form ``p - a * grad(loss, p)`` therefore
+stays inside the graph, and a later backward pass differentiates straight
+through it: one recorded inner gradient-descent step of the bi-level loop
+(see :mod:`relmeta.metalearn`).  :func:`backward`, the outer gradient that
+nothing differentiates again, runs the same walk but computes values only.
 
 Each node also records, as an int bitmask, which leaves it depends on
 (leaf k sets bit k; constants are 0).  A reverse walk builds adjoints only
@@ -129,6 +129,13 @@ class Tape:
                 fwd = _FORWARD[node.op]
                 values.append(fwd([values[p] for p in node.parents], node.extra))
         return values
+
+
+class _Unrecorded(Tape):
+    """A tape that keeps nothing: ops on its Vars compute their values only."""
+
+    def _append(self, op, parents, array, extra=None, mask=0) -> Var:
+        return Var(self, -1, array)
 
 
 def _same_tape(op: str, vars_: tuple) -> Tape:
@@ -493,7 +500,7 @@ def detach(a: Var) -> Var:
 
 # ---------------------------------------------------------------------------
 # VJP builders: each returns per-parent adjoints, built from the ops above so
-# that gradients are themselves differentiable tape nodes.  `need` holds one
+# that the gradients `grad` records are differentiable tape nodes.  `need` holds one
 # flag per parent; a builder returns None for a parent whose flag is false
 # (single-parent ops are only reached when their parent is needed).
 
@@ -743,7 +750,7 @@ _VJP = {
 # ---------------------------------------------------------------------------
 # backward engine
 
-def _walk(output: Var, wanted: list) -> dict[int, Var]:
+def _walk(output: Var, wanted: list, record: bool = True) -> dict[int, Var]:
     """Reverse walk from `output`; the adjoint Var of every index in `wanted`.
 
     The walk stops at wanted nodes as well as at leaves and constants.  It
@@ -756,11 +763,16 @@ def _walk(output: Var, wanted: list) -> dict[int, Var]:
     arrival order, when the walk reaches it.  Wanted nodes the walk never
     reaches get recorded zero constants, marked so downstream consumers
     can tell them from detached values.
+
+    With `record` false the seed and the VJP ops live on an `_Unrecorded`
+    tape: the same floats, none recorded; reached adjoints come back as
+    constants on `output`'s tape.
     """
     tape = output.tape
     nodes = tape.nodes
+    on = tape if record else _Unrecorded()
     # np.array(1.0) is np.ones(()) at a fifth of the cost
-    seed = tape.constant(np.ones(output.shape) if output.shape else np.array(1.0))
+    seed = on.constant(np.ones(output.shape) if output.shape else np.array(1.0))
     wanted_set = set(wanted)
     need = 0
     for idx in wanted_set:
@@ -792,8 +804,8 @@ def _walk(output: Var, wanted: list) -> dict[int, Var]:
             flags = (True,) * len(parents)
         else:
             flags = [nodes[p].mask & need for p in parents]
-        out_var = Var(tape, idx, node.array)
-        ins = [Var(tape, p, nodes[p].array) for p in parents]
+        out_var = Var(on, idx, node.array)
+        ins = [Var(on, p, nodes[p].array) for p in parents]
         for parent, gp in zip(parents, _VJP[node.op](out_var, ins, g, node.extra, flags)):
             if gp is None:
                 continue
@@ -808,16 +820,19 @@ def _walk(output: Var, wanted: list) -> dict[int, Var]:
     for idx in wanted:
         if idx not in found:
             found[idx] = tape._append("const", (), np.zeros(nodes[idx].array.shape), _ZERO_GRAD)
+        elif not record:
+            found[idx] = tape.constant(found[idx].array)
     return found
 
 
 def backward(output: Var) -> dict[int, Var]:
     """Gradient of `output` w.r.t. every leaf of its tape, keyed by leaf index.
 
-    The walk starts from ones (use a scalar output).  The adjoints are tape
-    Vars; leaves the sweep never reaches map to recorded zero constants.
+    The walk starts from ones (use a scalar output) and records no VJP: the
+    tape gains one constant per leaf, its adjoint or a marked zero for a
+    leaf the sweep never reaches.  Use :func:`grad` to differentiate further.
     """
-    return _walk(output, output.tape.leaves)
+    return _walk(output, output.tape.leaves, record=False)
 
 
 def grad(output: Var, wrt) -> list[Var]:

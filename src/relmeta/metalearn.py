@@ -6,7 +6,7 @@ One meta-batch is recorded on a fresh tape in a fixed phase order:
   B. task representations, the relation matrix and its trust weights, when enabled
   C. inner adaptation of every task on its meta-data support set
   D. per-task query losses, plus the weighted consistency term
-  E. one backward pass over the averaged objective
+  E. one backward pass over the averaged objective, unrecorded: values only
   F. one optimizer step on the underlying arrays
 
 Phases B and C commute (the matrix reads base extractor features, never

@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -283,14 +284,24 @@ class TestBackward:
     @settings(max_examples=100, deadline=None)
     @given(steps=MIXED_STEPS)
     def test_tracked_leaves_match_a_full_scan(self, steps):
+        tape, _ = build_mixed_tape(steps)
+        assert tape.leaves == [i for i, node in enumerate(tape.nodes) if node.op == "leaf"]
+
+    @settings(max_examples=100, deadline=None)
+    @given(steps=MIXED_STEPS)
+    def test_backward_records_one_constant_per_leaf(self, steps):
+        # the adjoints of the recorded walk on a twin tape, bit for bit
         tape, out = build_mixed_tape(steps)
-        scan = [i for i, node in enumerate(tape.nodes) if node.op == "leaf"]
-        assert tape.leaves == scan
         twin, twin_out = build_mixed_tape(steps)
-        got, want = ad.backward(out), ad._walk(twin_out, scan)
+        before = len(tape)
+        got, want = ad.backward(out), ad._walk(twin_out, twin.leaves)
         assert list(got) == list(want)
-        assert all(got[i].array.tobytes() == want[i].array.tobytes() for i in got)
-        assert [n.op for n in tape.nodes] == [n.op for n in twin.nodes]
+        assert [n.op for n in tape.nodes[before:]] == ["const"] * len(tape.leaves)
+        for i, v in got.items():
+            assert v.shape == want[i].shape and v.array.tobytes() == want[i].array.tobytes()
+            assert tape.nodes[v.index].array is v.array
+            reached = twin.nodes[want[i].index].extra != ad._ZERO_GRAD
+            assert ad.is_detached(v) == reached
 
     def test_sum_gives_ones(self):
         tape = ad.Tape()
@@ -744,7 +755,7 @@ class TestFusedOpProperties:
         h, w, b = (tape.leaf(rng.normal(size=s)) for s in [(3, 4), (4, 2), (2,)])
         loss = ad.mse(ad.tanh(ad.affine(h, w, b)), tape.constant(rng.normal(size=(3, 2))))
         grads = ad.grad(loss, [h, w, b])
-        ad.backward(ad.vsum(ad.concat([ad.reshape(g, (-1,)) for g in grads])))
+        ad.grad(ad.vsum(ad.concat([ad.reshape(g, (-1,)) for g in grads])), [h, w, b])
         assert "transpose" not in {n.op for n in tape.nodes}
 
 
@@ -842,10 +853,32 @@ class TestPrunedWalk:
         objective = ml._record_batch(model, layer, batch, config)[2]
         tape = objective.tape
         before = len(tape)
-        adjoints = ad.backward(objective)
+        # the recorded walk: backward itself records no VJP to prune
+        adjoints = ad._walk(objective, tape.leaves)
         reached = _ancestors(tape, [v.index for v in adjoints.values()])
         unused = [i for i in range(before, len(tape)) if i not in reached]
         assert unused == [] and len(tape) > before
+
+    def test_outer_backward_retains_only_the_adjoints(self):
+        # one N=16 harmonic TRLearner meta-batch with the harm-wide-trl model shape
+        config = ml.MetaConfig(method="maml", trlearner=True, lam=0.6, sim_heads=4,
+                               batch_tasks=16, hidden=(40, 40), alpha=0.05, beta=0.01)
+        model = nn.init_model([1, 40, 40], 16, seed=0, input_scale=tk.INPUT_SCALES["harmonic"])
+        layer = rel.SimilarityLayer(4, 40)
+        source = tk.TaskSource("harmonic", 10, 15, seed=0)
+        batch = tk.make_task_batch(source.train_batch(0, 0, 16), seed=(0, 4, 0, 0))
+        objective = ml._record_batch(model, layer, batch, config)[2]
+        forward_bytes = sum(n.array.nbytes for n in objective.tape.nodes)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            grads = ad.backward(objective)
+            retained, peak = (m - before for m in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert len(grads) == len(objective.tape.leaves) == 37
+        # a recorded outer backward retains 13.9 MB here, over twice the forward tape
+        assert retained < 1e6 and peak < forward_bytes
 
     def test_grad_toward_a_constant(self):
         tape = ad.Tape()
