@@ -1,9 +1,13 @@
-"""Command-line front end: bench, sweep-lambda, ablate-matrix.
+"""Command-line front end: bench and sweep.
 
-Every config key has one flag, and flags override the key=value file
-passed with --config.  `bench --log-matrix-every N` also writes the
-relation-matrix heatmaps.  Exit codes: 0 success, 2 bad configuration,
-3 failed run.
+`bench` runs one spec.  `sweep --key KEY --values V [V ...]` runs one
+benchmark per value of any config key on shared seeds, e.g. the λ curve
+(`--key lam`), learned against fixed masks (`--key matrix_mode`) or
+plain against treated (`--key trlearner --values false true`).  Every
+config key has one flag, `--` plus the key with `-` for `_`, and flags
+override the key=value file passed with --config.  `bench
+--log-matrix-every N` also writes the relation-matrix heatmaps.  Exit
+codes: 0 success, 2 bad configuration, 3 failed run.
 """
 
 from __future__ import annotations
@@ -15,22 +19,13 @@ from dataclasses import fields
 import relmeta.harness as hz
 
 
-#: flag spellings that differ from the config key
-_FLAG_NAMES = {"lam": "--lambda", "sim_heads": "--heads"}
-
-
 def _add_common(parser: argparse.ArgumentParser) -> None:
     """One flag per spec field; values stay strings until parse_config."""
     parser.add_argument("--config", type=str, default=None, metavar="FILE")
     for f in fields(hz.ExperimentSpec):
-        if f.name == "second_order":
-            parser.add_argument("--first-order", dest=f.name, action="store_const",
-                                const="false", help="first-order meta-gradients")
-            continue
-        flag = _FLAG_NAMES.get(f.name, "--" + f.name.replace("_", "-"))
         extra = dict(nargs="?", const="true") if isinstance(f.default, bool) else {}
-        parser.add_argument(flag, dest=f.name, help=f"default {hz.format_value(f.default)}",
-                            **extra)
+        parser.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
+                            help=f"default {hz.format_value(f.default)}", **extra)
 
 
 def _overrides(args: argparse.Namespace) -> dict:
@@ -44,31 +39,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="Meta-learning benchmarks with relation-aware regularization.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("bench", "sweep-lambda", "ablate-matrix"):
+    for name in ("bench", "sweep"):
         _add_common(sub.add_parser(name))
-    sweep = sub.choices["sweep-lambda"]
-    sweep.add_argument("--values", type=str, default=None,
-                       help="comma-separated lambda grid, default 0.3..0.8")
+    sweep = sub.choices["sweep"]
+    sweep.add_argument("--key", required=True, help="the config key to vary")
+    sweep.add_argument("--values", nargs="*", required=True, metavar="V",
+                       help="one benchmark per value, parsed like the config file")
     return parser
 
 
 def _run(args: argparse.Namespace) -> int:
     spec = hz.parse_config(args.config, _overrides(args))
-    if args.command == "bench":
-        rows = hz.run_benchmark(spec)
-    elif args.command == "sweep-lambda":
-        if args.values is not None:
-            try:
-                grid = tuple(float(v) for v in args.values.split(",") if v.strip())
-            except ValueError as exc:
-                raise hz.ConfigError(f"values: {exc}") from None
-        else:
-            grid = hz.LAMBDA_GRID
-        rows = hz.sweep_lambda(spec, grid)
-    else:
-        rows = hz.ablate_matrix(spec)
+    key = getattr(args, "key", None)
+    rows = hz.run_benchmark(spec) if key is None else hz.sweep(spec, key, args.values)
     for row in rows:
-        print(hz.summary_line(row))
+        print(hz.summary_line(row, key))
     return 0
 
 

@@ -123,8 +123,8 @@ def _parse_value(key: str, raw: str):
 def _read_config_file(path) -> dict:
     """Flat key=value lines; '#' starts a comment, blank lines ignored."""
     try:
-        text = open(path).read()
-    except OSError as exc:
+        text = open(path, encoding="utf-8").read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     data = {}
     for lineno, line in enumerate(text.splitlines(), 1):
@@ -220,11 +220,13 @@ def write_results_csv(rows: list, path) -> None:
             writer.writerow(row.csv_values())
 
 
-def summary_line(row: ResultRow) -> str:
+def summary_line(row: ResultRow, key=None) -> str:
+    """One human-readable line per row, tagged [key=value] for a sweep over `key`."""
     label = row.method + ("+trl" if row.trlearner else "")
     ci = "n/a" if row.runs == 1 else f"{row.ci95:.3f}"
+    tag = "" if key is None else f" [{key}={format_value(getattr(row.spec, key))}]"
     return (f"{row.dataset} {row.shots}-shot {label}: "
-            f"MSE {row.mse_mean:.3f} +/- {ci} ({row.runs} runs)")
+            f"MSE {row.mse_mean:.3f} +/- {ci} ({row.runs} runs){tag}")
 
 
 def single_run(spec: ExperimentSpec, run_index: int) -> dict:
@@ -252,10 +254,11 @@ def _run_specs(spec: ExperimentSpec, specs, out_dir) -> tuple:
 
     Creates the directory (`out_dir`, else `spec.out`), echoes `spec` to
     config.txt and writes results.csv: one ResultRow per spec, timed when
-    `spec.timing` is set.  Returns (out, rows, outcomes, failure), with
+    that spec sets `timing`.  Returns (out, rows, outcomes, failure), with
     one (spec, outcome) per finished run.  The first run that raises ends
     the sequence and names the failure; its spec's finished runs still
-    make a row.  Callers write their own artifacts, then raise RunError.
+    make a row.  A fixed-mode run whose similarity masks moved is a
+    failure too.  Callers write their own artifacts, then raise RunError.
     """
     out = Path(out_dir) if out_dir is not None else Path(spec.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -273,10 +276,13 @@ def _run_specs(spec: ExperimentSpec, specs, out_dir) -> tuple:
             outcomes.append((sub, outcome))
             per_run.append(outcome["mse"])
         if per_run:
-            seconds = time.perf_counter() - started if spec.timing else None
+            seconds = time.perf_counter() - started if sub.timing else None
             rows.append(ResultRow(sub, per_run, seconds))
         if failure:
             break
+    if failure is None and any(sub.matrix_mode == "fixed" and np.any(o["layer"].omega != 1.0)
+                               for sub, o in outcomes):
+        failure = "fixed matrix mode updated omega"
     write_results_csv(rows, out / "results.csv")
     return out, rows, outcomes, failure
 
@@ -307,32 +313,32 @@ def _write_summary(out, lines: list, failure) -> None:
         raise RunError(failure)
 
 
-def sweep_lambda(spec: ExperimentSpec, values=LAMBDA_GRID, out_dir=None) -> list:
-    """One benchmark per λ on shared seeds; writes results.csv and sweep.svg."""
+def sweep(spec: ExperimentSpec, key: str, values, out_dir=None) -> list:
+    """One benchmark per value of config key `key`, all on `spec`'s seeds.
+
+    Values are parsed like the config file and every spec is checked before
+    the directory exists; sweep.svg is drawn when every value is a number.
+    """
+    if key not in _DEFAULTS:
+        raise ConfigError(f"unknown sweep key {key!r}")
     if not values:
-        raise ConfigError("empty lambda grid")
-    specs = [replace(spec, lam=float(value), trlearner=True) for value in values]
+        raise ConfigError(f"no values to sweep {key} over")
+    values = [_parse_value(key, v) if isinstance(v, str) else v for v in values]
+    specs = [replace(spec, **{key: value}) for value in values]
     out, rows, _, failure = _run_specs(spec, specs, out_dir)
-    if failure:
-        raise RunError(failure)
-    svg = sp.line_plot([float(v) for v in values], [row.mse_mean for row in rows],
-                       title=f"{spec.dataset} {spec.shots}-shot",
-                       x_label="lambda", y_label="query MSE")
-    (out / "sweep.svg").write_text(svg)
+    if failure is None and all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                               for v in values):
+        svg = sp.line_plot([float(v) for v in values], [row.mse_mean for row in rows],
+                           title=f"{spec.dataset} {spec.shots}-shot",
+                           x_label=key, y_label="query MSE")
+        (out / "sweep.svg").write_text(svg)
+    _write_summary(out, [summary_line(row, key) for row in rows], failure)
     return rows
 
 
-def ablate_matrix(spec: ExperimentSpec, out_dir=None) -> list:
-    """Learned vs fixed relation matrix on paired seeds; fixed must not train."""
-    specs = [replace(spec, matrix_mode=mode, trlearner=True) for mode in ml.MATRIX_MODES]
-    out, rows, outcomes, failure = _run_specs(spec, specs, out_dir)
-    if failure is None and any(
-            sub.matrix_mode == "fixed" and not np.all(o["layer"].omega == 1.0)
-            for sub, o in outcomes):
-        failure = "fixed matrix mode updated omega"
-    _write_summary(out, [summary_line(row) + f" [matrix={row.matrix_mode}]" for row in rows],
-                   failure)
-    return rows
+def sweep_lambda(spec: ExperimentSpec, values=LAMBDA_GRID, out_dir=None) -> list:
+    """The λ curve: `sweep` over `lam`."""
+    return sweep(spec, "lam", values, out_dir)
 
 
 def export_heatmaps(records: list, out_dir) -> list:

@@ -360,15 +360,22 @@ def adapted_query_mse(model: nn.MetaModel, task: tk.TaskInstance, config: MetaCo
 
 
 def summarize(values: list) -> tuple:
-    """Mean and normal-approximation 95% CI half-width (0 for one value)."""
+    """Mean and normal-approximation 95% CI half-width (0 for one value).
+
+    Where that overflows it is redone on the values scaled exactly by a
+    power of two, so it is infinite only where the true value is.
+    """
     if not values:
         raise MetaLearnError("nothing to summarize")
-    mean = float(np.mean(values))
-    if len(values) > 1:
-        ci = float(1.96 * np.std(values, ddof=1) / np.sqrt(len(values)))
-    else:
-        ci = 0.0
-    return mean, ci
+    values = np.asarray(values, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for exponent in (0, np.frexp(np.max(np.abs(values)))[1]):
+            scaled = np.ldexp(values, -exponent)
+            mean = np.mean(scaled)
+            ci = 1.96 * np.std(scaled, ddof=1) / np.sqrt(len(values)) if len(values) > 1 else 0.0
+            if np.isfinite(mean) and np.isfinite(ci):
+                break
+        return float(np.ldexp(mean, exponent)), float(np.ldexp(ci, exponent))
 
 
 def evaluate(model: nn.MetaModel, eval_tasks: list, config: MetaConfig) -> dict:

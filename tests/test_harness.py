@@ -1,10 +1,11 @@
 import argparse
 import csv
+import importlib
 import json
 import re
 import shlex
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -214,24 +215,48 @@ class TestSweepAndAblate:
             ("0.4", repr(rows[0].mse_mean), "n/a"), ("0.6", repr(rows[1].mse_mean), "n/a")]
         assert not (tmp_path / "sweep.csv").exists()
         assert (tmp_path / "sweep.svg").read_text().startswith("<svg")
+        tags = [line.rsplit(" ", 1)[1] for line in
+                (tmp_path / "summary.txt").read_text().splitlines()]
+        assert tags == ["[lam=0.4]", "[lam=0.6]"]
 
-    def test_sweep_single_value_degenerates_to_bench(self, tmp_path):
+    @pytest.mark.parametrize("key, value", [
+        ("lam", "0.4"), ("matrix_mode", "fixed"), ("method", "anil"), ("eval_inner_steps", "2")],
+        ids=["lam", "matrix_mode", "method", "eval_inner_steps"])
+    def test_sweep_single_value_degenerates_to_bench(self, tmp_path, key, value):
         spec = tiny_spec(tmp_path / "sweep", runs=1)
-        rows = hz.sweep_lambda(spec, values=(0.6,))
-        bench = hz.run_benchmark(tiny_spec(tmp_path / "bench", runs=1))
+        rows = hz.sweep(spec, key, [value])
+        bench = hz.run_benchmark(
+            replace(tiny_spec(tmp_path / "bench", runs=1), **{key: hz._parse_value(key, value)}))
         assert rows[0].per_run == bench[0].per_run
 
     def test_sweep_rejects_empty_grid(self, tmp_path):
-        with pytest.raises(hz.ConfigError, match="grid"):
+        with pytest.raises(hz.ConfigError, match="no values to sweep lam over"):
             hz.sweep_lambda(tiny_spec(tmp_path), values=())
+        with pytest.raises(hz.ConfigError, match="unknown sweep key 'lambda'"):
+            hz.sweep(tiny_spec(tmp_path), "lambda", ["0.3"])
+        assert not any(tmp_path.iterdir())
+
+    def test_sweep_svg_only_for_numbers(self, tmp_path):
+        spec = tiny_spec(tmp_path, runs=1)
+        rows = hz.sweep(spec, "trlearner", ["false", "true"])
+        assert [row.trlearner for row in rows] == [False, True]
+        assert not (tmp_path / "sweep.svg").exists()
+
+    def test_sweep_over_timing_times_its_rows(self, tmp_path):
+        hz.sweep(tiny_spec(tmp_path, runs=1), "timing", ["false", "true"])
+        with open(tmp_path / "results.csv") as fh:
+            seconds = [r["seconds"] for r in csv.DictReader(fh)]
+        assert seconds[0] == "" and float(seconds[1]) > 0
 
     def test_ablate_modes_and_frozen_omega(self, tmp_path):
         spec = tiny_spec(tmp_path, runs=1)
-        rows = hz.ablate_matrix(spec)
+        rows = hz.sweep(spec, "matrix_mode", ml.MATRIX_MODES)
         assert [row.matrix_mode for row in rows] == ["learned", "fixed"]
         assert all(row.trlearner for row in rows)
+        assert not (tmp_path / "sweep.svg").exists()
 
-    def test_ablate_unfrozen_omega_is_partial(self, tmp_path, monkeypatch):
+    @staticmethod
+    def leaky_fixed_mode(monkeypatch):
         real = hz.single_run
 
         def leaky(spec, run_index):
@@ -241,10 +266,20 @@ class TestSweepAndAblate:
             return outcome
 
         monkeypatch.setattr(hz, "single_run", leaky)
+
+    def test_ablate_unfrozen_omega_is_partial(self, tmp_path, monkeypatch):
+        self.leaky_fixed_mode(monkeypatch)
         with pytest.raises(hz.RunError, match="fixed matrix mode updated omega"):
-            hz.ablate_matrix(tiny_spec(tmp_path, runs=1))
+            hz.sweep(tiny_spec(tmp_path, runs=1), "matrix_mode", ["learned", "fixed"])
         with open(tmp_path / "results.csv") as fh:
             assert [r["matrix_mode"] for r in csv.DictReader(fh)] == ["learned", "fixed"]
+        summary = (tmp_path / "summary.txt").read_text().splitlines()
+        assert summary[-1] == "PARTIAL: fixed matrix mode updated omega"
+
+    def test_bench_unfrozen_omega_is_partial(self, tmp_path, monkeypatch):
+        self.leaky_fixed_mode(monkeypatch)
+        with pytest.raises(hz.RunError, match="fixed matrix mode updated omega"):
+            hz.run_benchmark(tiny_spec(tmp_path, runs=1, matrix_mode="fixed"))
         summary = (tmp_path / "summary.txt").read_text().splitlines()
         assert summary[-1] == "PARTIAL: fixed matrix mode updated omega"
 
@@ -279,10 +314,15 @@ class TestHeatmapExport:
         assert "no matrix snapshots" in caplog.text
 
 
+#: the paper's paired comparisons as `relmeta sweep` arguments
+COMPARISONS = {"sweep-lambda": ["--key", "lam", "--values", "0.3", "0.5"],
+               "ablate-matrix": ["--key", "matrix_mode", "--values", "learned", "fixed"]}
+
+
 class TestCli:
     def bench_args(self, out, extra=()):
         return ["bench", "--out", str(out), "--shots", "5", "--queries", "5",
-                "--batch-tasks", "3", "--heads", "2", "--epochs", "1",
+                "--batch-tasks", "3", "--sim-heads", "2", "--epochs", "1",
                 "--batches-per-epoch", "2", "--runs", "1", "--eval-tasks", "4",
                 *extra]
 
@@ -295,13 +335,13 @@ class TestCli:
         path = tmp_path / "run.cfg"
         path.write_text("lam=0.6\n")
         args = cli.build_parser().parse_args(
-            self.bench_args(tmp_path, ["--config", str(path), "--lambda", "0.0"]))
+            self.bench_args(tmp_path, ["--config", str(path), "--lam", "0.0"]))
         spec = hz.parse_config(args.config, cli._overrides(args))
         assert spec.lam == 0.0
 
     def test_first_order_and_trlearner_flags(self, tmp_path):
         args = cli.build_parser().parse_args(
-            self.bench_args(tmp_path, ["--first-order", "--trlearner", "off"]))
+            self.bench_args(tmp_path, ["--second-order", "false", "--trlearner", "off"]))
         spec = hz.parse_config(None, cli._overrides(args))
         assert spec.second_order is False and spec.trlearner is False
 
@@ -309,12 +349,12 @@ class TestCli:
         assert cli.main(self.bench_args(tmp_path, ["--shots", "-1"])) == 2
         assert "config error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", ["alpha", "beta", "lambda", "momentum", "weight-decay",
-                                      "noise-sd"])
+    @pytest.mark.parametrize("flag", ["alpha", "beta", pytest.param("lam", id="lambda"),
+                                      "momentum", "weight-decay", "noise-sd"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_float_exit_code(self, tmp_path, capsys, flag, value):
         assert cli.main(self.bench_args(tmp_path, [f"--{flag}={value}"])) == 2
-        key = {"lambda": "lam"}.get(flag, flag.replace("-", "_"))
+        key = flag.replace("-", "_")
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and f"{key}={float(value)}" in err
         assert not (tmp_path / "results.csv").exists()
@@ -336,8 +376,9 @@ class TestCli:
         ("bench", ["--hidden", "0"], "hidden=(0,)"),
         ("bench", ["--hidden", "8,-3"], "hidden=(8, -3)"),
         ("bench", ["--metadata-strategy", "bogus"], "metadata_strategy='bogus'"),
-        ("sweep-lambda", ["--values", "0.3,-1"], "lam=-1.0"),
-        ("ablate-matrix", ["--batch-tasks", "1", "--trlearner", "off"], "batch_tasks >= 2"),
+        ("sweep", ["--key", "lam", "--values", "0.3", "-1"], "lam=-1.0"),
+        ("sweep", ["--batch-tasks", "1", "--trlearner", "off",
+                   "--key", "trlearner", "--values", "off", "on"], "batch_tasks >= 2"),
         ("bench", ["--optimizer", "adam", "--momentum", "1"], "momentum=1.0"),
         ("bench", ["--momentum", "-0.5"], "momentum=-0.5"),
         ("bench", ["--weight-decay", "-1"], "weight_decay=-1.0"),
@@ -362,9 +403,30 @@ class TestCli:
         assert "config error: hidden" in capsys.readouterr().err
 
     def test_malformed_lambda_values_exit_code(self, tmp_path, capsys):
-        args = ["sweep-lambda", *self.bench_args(tmp_path)[1:], "--values", "0.3,abc"]
+        args = ["sweep", *self.bench_args(tmp_path)[1:], "--key", "lam", "--values", "0.3", "abc"]
         assert cli.main(args) == 2
-        assert "config error: values" in capsys.readouterr().err
+        assert "config error: lam" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--key", "lambda", "--values", "0.3"], "unknown sweep key 'lambda'"),
+        (["--key", "lam", "--values"], "no values to sweep lam over"),
+    ], ids=["unknown-key", "no-values"])
+    def test_bad_sweep_exit_code(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "out"
+        assert cli.main(["sweep", *self.bench_args(out)[1:], *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and message in err
+        assert not out.exists()
+
+    def test_non_utf8_config_file_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"\xff\xfe lam=0.3\n")
+        out = tmp_path / "out"
+        assert cli.main(self.bench_args(out, ["--config", str(path)])) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot read config file") and "utf-8" in err
+        assert not out.exists()
 
     def test_diverging_run_reports_without_numpy_warnings(self, tmp_path, capsys):
         args = ["bench", "--out", str(tmp_path), "--method", "metasgd", "--runs", "1",
@@ -396,19 +458,19 @@ class TestCli:
             return real(spec, run_index)
 
         monkeypatch.setattr(hz, "single_run", second_fails)
-        assert cli.main([command, *self.bench_args(tmp_path)[1:]]) == 3
+        assert cli.main(["sweep", *self.bench_args(tmp_path)[1:], *COMPARISONS[command]]) == 3
         assert "run failed: run 0 (seed 0) failed: non-finite" in capsys.readouterr().err
         with open(tmp_path / "results.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 1 and rows[0].items() >= finished.items()
 
-    @pytest.mark.parametrize("command, n_rows", [("sweep-lambda", 6), ("ablate-matrix", 2)],
-                             ids=["sweep-lambda", "ablate-matrix"])
-    def test_timing_fills_every_row(self, tmp_path, command, n_rows):
-        assert cli.main([command, *self.bench_args(tmp_path)[1:], "--timing"]) == 0
+    @pytest.mark.parametrize("command", COMPARISONS)
+    def test_timing_fills_every_row(self, tmp_path, command):
+        args = ["sweep", *self.bench_args(tmp_path)[1:], *COMPARISONS[command], "--timing"]
+        assert cli.main(args) == 0
         with open(tmp_path / "results.csv") as fh:
             seconds = [r["seconds"] for r in csv.DictReader(fh)]
-        assert len(seconds) == n_rows and all(float(s) > 0 for s in seconds)
+        assert len(seconds) == 2 and all(float(s) > 0 for s in seconds)
 
     def test_pool_size_none_flag(self, tmp_path):
         args = cli.build_parser().parse_args(
@@ -427,20 +489,17 @@ class TestCli:
 
 def spec_flags(settings: dict) -> list:
     """Command-line flags for a dict of config key -> value string."""
-    flags = []
-    for key, value in settings.items():
-        if key == "second_order":
-            flags += [] if hz._parse_value(key, value) else ["--first-order"]
-        else:
-            flags += [cli._FLAG_NAMES.get(key, "--" + key.replace("_", "-")), value]
-    return flags
+    return [arg for key, value in settings.items()
+            for arg in ("--" + key.replace("_", "-"), value)]
 
 
 class TestCliSurface:
+    def subparsers(self):
+        return next(a for a in cli.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+
     def bench_parser(self):
-        sub = next(a for a in cli.build_parser()._actions
-                   if isinstance(a, argparse._SubParsersAction))
-        return sub.choices["bench"]
+        return self.subparsers()["bench"]
 
     def test_one_flag_per_spec_field(self):
         dests = [a.dest for a in self.bench_parser()._actions if a.dest not in ("help", "config")]
@@ -463,6 +522,21 @@ class TestCliSurface:
         assert len(commands) >= 4
         for line in commands:
             cli.build_parser().parse_args(shlex.split(line)[1:])
+        shown = {shlex.split(line)[1] for line in commands}
+        assert shown == set(self.subparsers())
+        pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        scripts = re.search(r"^\[project\.scripts\]\n(.*?)(?:^\[|\Z)", pyproject,
+                            re.S | re.M).group(1)
+        (target,) = re.findall(r'^relmeta = "(.*)"$', scripts, re.M)
+        module, _, name = target.partition(":")
+        assert getattr(importlib.import_module(module), name) is cli.main
+
+    @pytest.mark.parametrize("key", [f.name for f in fields(hz.ExperimentSpec)])
+    def test_every_key_can_be_swept(self, key):
+        default = getattr(hz.ExperimentSpec, key)
+        args = cli.build_parser().parse_args(
+            ["sweep", "--key", key, "--values", hz.format_value(default)])
+        assert args.key == key and [hz._parse_value(key, v) for v in args.values] == [default]
 
     def test_golden_case_through_cli(self, tmp_path, capsys):
         golden = json.loads(gold.FIXTURE.read_text())["maml-trl"]

@@ -1,8 +1,12 @@
 import gc
+import statistics
+import warnings
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import relmeta.autodiff as ad
 import relmeta.metalearn as ml
@@ -462,6 +466,35 @@ class TestEvaluate:
 
     def test_single_value_ci_zero(self):
         assert ml.summarize([4.2]) == (pytest.approx(4.2), 0.0)
+
+    def test_huge_values_do_not_overflow(self):
+        mean, ci = ml.summarize([2.8e221, 1e221])
+        assert mean == pytest.approx(1.9e221, rel=1e-15)
+        assert ci == pytest.approx(1.96 * 0.9e221, rel=1e-15)  # std 0.9e221 * sqrt(2)
+        limit = np.finfo(float).max
+        assert ml.summarize([limit, limit]) == (limit, 0.0)
+        assert ml.summarize([limit, -limit]) == (0.0, np.inf)  # true half-width 1.96 * max
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(0.0, 1e300), min_size=1, max_size=8))
+    @example([2.8e221, 1e221])
+    @example([1e300, 0.0, 1e300])
+    def test_finite_values_give_finite_stats_without_warnings(self, values):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mean, ci = ml.summarize(values)
+        assert np.isfinite(mean) and np.isfinite(ci) and ci >= 0.0
+        with np.errstate(all="ignore"):
+            plain = (float(np.mean(values)),
+                     float(1.96 * np.std(values, ddof=1) / np.sqrt(len(values)))
+                     if len(values) > 1 else 0.0)
+        if np.all(np.isfinite(plain)):
+            assert (mean, ci) == plain  # bit-identical wherever the plain formula holds
+        # Exact rational arithmetic: both agree to rounding of the largest value,
+        # and to 1e-153 where deviations below 1.5e-154 square to zero.
+        exact_ci = 1.96 * statistics.stdev(values) / np.sqrt(len(values)) if len(values) > 1 else 0
+        assert abs(mean - statistics.mean(values)) <= 1e-14 * max(values)
+        assert abs(ci - exact_ci) <= 1e-14 * max(values) + 1e-153
 
     def test_empty_rejected(self):
         with pytest.raises(ml.MetaLearnError):
