@@ -6,13 +6,14 @@ plain reverse walk implements backpropagation.  Every op other than a leaf
 or a constant is recorded by `_record`, which takes the node's value from
 the op's `_FORWARD` entry, the same function `Tape.replay` calls.
 
-Each op's vector-Jacobian product is built out of the same primitives, and
-:func:`grad` records those VJPs, so the gradients it returns are ordinary
-tape variables.  An update of the form ``p - a * grad(loss, p)`` therefore
+Each op's vector-Jacobian product is written once, against the op set it
+is handed.  :func:`grad` records it, so the gradients it returns are tape
+variables.  An update of the form ``p - a * grad(loss, p)`` therefore
 stays inside the graph, and a later backward pass differentiates straight
 through it: one recorded inner gradient-descent step of the bi-level loop
 (see :mod:`relmeta.metalearn`).  :func:`backward`, the outer gradient that
-nothing differentiates again, runs the same walk but computes values only.
+nothing differentiates again, runs the same walk on bare ndarrays, as does
+``grad(..., record=False)``: the same `_FORWARD` floats, no Var, no node.
 
 Each node also records, as an int bitmask, which leaves it depends on
 (leaf k sets bit k; constants are 0).  A reverse walk builds adjoints only
@@ -129,13 +130,6 @@ class Tape:
                 fwd = _FORWARD[node.op]
                 values.append(fwd([values[p] for p in node.parents], node.extra))
         return values
-
-
-class _Unrecorded(Tape):
-    """A tape that keeps nothing: ops on its Vars compute their values only."""
-
-    def _append(self, op, parents, array, extra=None, mask=0) -> Var:
-        return Var(self, -1, array)
 
 
 def _same_tape(op: str, vars_: tuple) -> Tape:
@@ -499,181 +493,215 @@ def detach(a: Var) -> Var:
 
 
 # ---------------------------------------------------------------------------
-# VJP builders: each returns per-parent adjoints, built from the ops above so
-# that the gradients `grad` records are differentiable tape nodes.  `need` holds one
+# VJP builders: each returns per-parent adjoints, written once against the op
+# set `ops` it is handed: `_TapeOps`, whose results are differentiable tape
+# nodes, or `_ArrayOps`, the same floats on bare ndarrays.  `need` holds one
 # flag per parent; a builder returns None for a parent whose flag is false
 # (single-parent ops are only reached when their parent is needed).
 
-def _unbroadcast(g: Var, shape: tuple) -> Var:
+class _TapeOps:
+    """The VJP builders' ops in `grad`'s recording walk: each records a node."""
+
+    record, add_n, add, sub, mul, div, smul, matmul, transpose, reshape = map(
+        staticmethod, (_record, add_n, add, sub, mul, div, smul, matmul, transpose, reshape))
+    broadcast_to, vsum, sin, cos, square, rsqrt, concat, slice_axis = map(
+        staticmethod, (broadcast_to, vsum, sin, cos, square, rsqrt, concat, slice_axis))
+    value = staticmethod(lambda v: v.array)
+
+    def __init__(self, tape: Tape):
+        self.constant = tape.constant
+
+
+class _ArrayOps:
+    """The same ops on bare ndarrays: each applies its `_FORWARD` entry, looked
+    up per call, and records nothing.  Used as is, never instantiated."""
+
+    add, sub, mul, div, transpose, sin, cos, square, rsqrt = (
+        staticmethod(lambda *xs, kind=kind: _FORWARD[kind](xs, None))
+        for kind in ("add", "sub", "elementwise-mul", "div", "transpose", "sin", "cos", "square", "rsqrt"))
+    record = staticmethod(lambda op, xs, extra=None: _FORWARD[op](xs, extra))
+    add_n = staticmethod(lambda xs: _FORWARD["add"](xs, None))
+    smul = staticmethod(lambda a, c: _FORWARD["scalar-mul"]((a,), c))
+    matmul = staticmethod(lambda a, b, ta=False, tb=False: _FORWARD["matmul"]((a, b), (ta, tb)))
+    reshape = staticmethod(lambda a, shape: _FORWARD["reshape"]((a,), shape))
+    broadcast_to = staticmethod(lambda a, shape: _FORWARD["broadcast"]((a,), shape))
+    vsum = staticmethod(lambda a, axis=None: _FORWARD["sum"]((a,), (_norm_axis("sum", axis, a.ndim), a.shape)))
+    concat = staticmethod(lambda xs, axis=0: _FORWARD["concat"](xs, axis))
+    slice_axis = staticmethod(lambda a, axis, start, stop: _FORWARD["slice"]((a,), (axis, start, stop)))
+    value = staticmethod(lambda v: v)
+    constant = staticmethod(lambda values: np.asarray(values, dtype=np.float64))
+
+
+def _unbroadcast(ops, g, shape: tuple):
     if g.shape == shape:
         return g
-    extra = g.array.ndim - len(shape)
+    extra = len(g.shape) - len(shape)
     axes = tuple(range(extra)) + tuple(
         i + extra for i, n in enumerate(shape) if n == 1 and g.shape[i + extra] != 1
     )
-    s = vsum(g, axis=axes) if axes else g
+    s = ops.vsum(g, axis=axes) if axes else g
     if s.shape != shape:
-        s = reshape(s, shape)
+        s = ops.reshape(s, shape)
     return s
 
 
-def _v_add(out, ins, g, _, need):
-    return tuple(_unbroadcast(g, v.shape) if wanted else None for v, wanted in zip(ins, need))
+def _v_add(ops, out, ins, g, _, need):
+    return tuple(_unbroadcast(ops, g, v.shape) if wanted else None for v, wanted in zip(ins, need))
 
 
-def _v_sub(out, ins, g, _, need):
+def _v_sub(ops, out, ins, g, _, need):
     a, b = ins
-    return (_unbroadcast(g, a.shape) if need[0] else None,
-            _unbroadcast(smul(g, -1.0), b.shape) if need[1] else None)
+    return (_unbroadcast(ops, g, a.shape) if need[0] else None,
+            _unbroadcast(ops, ops.smul(g, -1.0), b.shape) if need[1] else None)
 
 
-def _v_mul(out, ins, g, _, need):
+def _v_mul(ops, out, ins, g, _, need):
     a, b = ins
-    return (_unbroadcast(mul(g, b), a.shape) if need[0] else None,
-            _unbroadcast(mul(g, a), b.shape) if need[1] else None)
+    return (_unbroadcast(ops, ops.mul(g, b), a.shape) if need[0] else None,
+            _unbroadcast(ops, ops.mul(g, a), b.shape) if need[1] else None)
 
 
-def _v_div(out, ins, g, _, need):
+def _v_div(ops, out, ins, g, _, need):
     a, b = ins
-    ga = _unbroadcast(div(g, b), a.shape) if need[0] else None
-    gb = _unbroadcast(smul(mul(g, div(out, b)), -1.0), b.shape) if need[1] else None
+    ga = _unbroadcast(ops, ops.div(g, b), a.shape) if need[0] else None
+    gb = _unbroadcast(ops, ops.smul(ops.mul(g, ops.div(out, b)), -1.0), b.shape) if need[1] else None
     return (ga, gb)
 
 
-def _v_smul(out, ins, g, c, need):
-    return (smul(g, c),)
+def _v_smul(ops, out, ins, g, c, need):
+    return (ops.smul(g, c),)
 
 
-def _v_sadd(out, ins, g, c, need):
+def _v_sadd(ops, out, ins, g, c, need):
     return (g,)
 
 
-def _v_matmul(out, ins, g, extra, need):
+def _v_matmul(ops, out, ins, g, extra, need):
     # out = A @ B with A = a.T if ta else a, B = b.T if tb else b
     a, b = ins
     ta, tb = extra
     ga = gb = None
     if need[0]:
-        ga = matmul(b, g, ta=tb, tb=True) if ta else matmul(g, b, tb=not tb)
+        ga = ops.matmul(b, g, ta=tb, tb=True) if ta else ops.matmul(g, b, tb=not tb)
     if need[1]:
-        gb = matmul(g, a, ta=True, tb=ta) if tb else matmul(a, g, ta=not ta)
+        gb = ops.matmul(g, a, ta=True, tb=ta) if tb else ops.matmul(a, g, ta=not ta)
     return (ga, gb)
 
 
-def _v_affine(out, ins, g, _, need):
+def _v_affine(ops, out, ins, g, _, need):
     h, w, b = ins
     # Recorded in the order of the add-then-matmul chain this op replaces.
-    gb = vsum(g, axis=0) if need[2] else None
-    gh = matmul(g, w, tb=True) if need[0] else None
-    gw = matmul(h, g, ta=True) if need[1] else None
+    gb = ops.vsum(g, axis=0) if need[2] else None
+    gh = ops.matmul(g, w, tb=True) if need[0] else None
+    gw = ops.matmul(h, g, ta=True) if need[1] else None
     return (gh, gw, gb)
 
 
-def _v_mse(out, ins, g, _, need):
+def _v_mse(ops, out, ins, g, _, need):
     p, y = ins
-    gp = _record("mse-grad", (g, p, y), 1.0 / float(p.array.size))
-    return (gp if need[0] else None, smul(gp, -1.0) if need[1] else None)
+    gp = ops.record("mse-grad", (g, p, y), 1.0 / float(math.prod(p.shape)))
+    return (gp if need[0] else None, ops.smul(gp, -1.0) if need[1] else None)
 
 
-def _v_mse_grad(out, ins, h, c, need):
+def _v_mse_grad(ops, out, ins, h, c, need):
     # out = (g * c) * ((p - y) * 2); the adjoints follow the steps of the
     # mean(square(sub)) chain this op replaces, so second order keeps its bits
     g, p, y = ins
     gg = gp = gy = None
     if need[0]:
-        summed = _unbroadcast(smul(mul(h, smul(sub(p, y), 2.0)), c), (1,) * p.array.ndim)
-        gg = reshape(summed, g.shape)
+        summed = _unbroadcast(ops, ops.smul(ops.mul(h, ops.smul(ops.sub(p, y), 2.0)), c), (1,) * len(p.shape))
+        gg = ops.reshape(summed, g.shape)
     if need[1] or need[2]:
-        gp = smul(mul(h, smul(g, c)), 2.0)
-        gy = smul(gp, -1.0) if need[2] else None
+        gp = ops.smul(ops.mul(h, ops.smul(g, c)), 2.0)
+        gy = ops.smul(gp, -1.0) if need[2] else None
     return (gg, gp if need[1] else None, gy)
 
 
-def _v_transpose(out, ins, g, _, need):
-    return (transpose(g),)
+def _v_transpose(ops, out, ins, g, _, need):
+    return (ops.transpose(g),)
 
 
-def _v_reshape(out, ins, g, _, need):
-    return (reshape(g, ins[0].shape),)
+def _v_reshape(ops, out, ins, g, _, need):
+    return (ops.reshape(g, ins[0].shape),)
 
 
-def _v_broadcast(out, ins, g, _, need):
-    return (_unbroadcast(g, ins[0].shape),)
+def _v_broadcast(ops, out, ins, g, _, need):
+    return (_unbroadcast(ops, g, ins[0].shape),)
 
 
-def _expand(g: Var, axis, in_shape) -> Var:
+def _expand(ops, g, axis, in_shape):
     if axis is None:
-        return broadcast_to(reshape(g, (1,) * len(in_shape)) if in_shape else g, in_shape)
+        return ops.broadcast_to(ops.reshape(g, (1,) * len(in_shape)) if in_shape else g, in_shape)
     kept = tuple(1 if i in axis else n for i, n in enumerate(in_shape))
-    return broadcast_to(reshape(g, kept), in_shape)
+    return ops.broadcast_to(ops.reshape(g, kept), in_shape)
 
 
-def _v_sum(out, ins, g, extra, need):
+def _v_sum(ops, out, ins, g, extra, need):
     axis, in_shape = extra
-    return (_expand(g, axis, in_shape),)
+    return (_expand(ops, g, axis, in_shape),)
 
 
-def _v_mean(out, ins, g, extra, need):
+def _v_mean(ops, out, ins, g, extra, need):
     axis, in_shape = extra
-    return (smul(_expand(g, axis, in_shape), 1.0 / _count(axis, in_shape)),)
+    return (ops.smul(_expand(ops, g, axis, in_shape), 1.0 / _count(axis, in_shape)),)
 
 
-def _v_tanh(out, ins, g, _, need):
-    return (_record("tanh-grad", (g, out)),)
+def _v_tanh(ops, out, ins, g, _, need):
+    return (ops.record("tanh-grad", (g, out)),)
 
 
-def _v_tanh_grad(out, ins, h, _, need):
+def _v_tanh_grad(ops, out, ins, h, _, need):
     # out = g - g * y^2 with y the tanh output
     g, y = ins
-    gg = _record("tanh-grad", (h, y)) if need[0] else None
-    gy = mul(mul(smul(h, -1.0), g), smul(y, 2.0)) if need[1] else None
+    gg = ops.record("tanh-grad", (h, y)) if need[0] else None
+    gy = ops.mul(ops.mul(ops.smul(h, -1.0), g), ops.smul(y, 2.0)) if need[1] else None
     return (gg, gy)
 
 
-def _v_relu(out, ins, g, _, need):
-    mask = out.tape.constant((ins[0].array > 0.0).astype(np.float64))
-    return (mul(g, mask),)
+def _v_relu(ops, out, ins, g, _, need):
+    mask = ops.constant((ops.value(ins[0]) > 0.0).astype(np.float64))
+    return (ops.mul(g, mask),)
 
 
-def _v_sin(out, ins, g, _, need):
-    return (mul(g, cos(ins[0])),)
+def _v_sin(ops, out, ins, g, _, need):
+    return (ops.mul(g, ops.cos(ins[0])),)
 
 
-def _v_cos(out, ins, g, _, need):
-    return (smul(mul(g, sin(ins[0])), -1.0),)
+def _v_cos(ops, out, ins, g, _, need):
+    return (ops.smul(ops.mul(g, ops.sin(ins[0])), -1.0),)
 
 
-def _v_square(out, ins, g, _, need):
-    return (mul(g, smul(ins[0], 2.0)),)
+def _v_square(ops, out, ins, g, _, need):
+    return (ops.mul(g, ops.smul(ins[0], 2.0)),)
 
 
-def _v_rsqrt(out, ins, g, _, need):
-    return (smul(mul(g, mul(out, square(out))), -0.5),)
+def _v_rsqrt(ops, out, ins, g, _, need):
+    return (ops.smul(ops.mul(g, ops.mul(out, ops.square(out))), -0.5),)
 
 
-def _v_concat(out, ins, g, axis, need):
+def _v_concat(ops, out, ins, g, axis, need):
     grads = []
     start = 0
     for v, wanted in zip(ins, need):
         stop = start + v.shape[axis]
-        grads.append(slice_axis(g, axis, start, stop) if wanted else None)
+        grads.append(ops.slice_axis(g, axis, start, stop) if wanted else None)
         start = stop
     return tuple(grads)
 
 
-def _v_slice(out, ins, g, extra, need):
+def _v_slice(ops, out, ins, g, extra, need):
     axis, start, stop = extra
     a = ins[0]
     pieces = []
     if start > 0:
-        pieces.append(g.tape.constant(np.zeros(a.shape[:axis] + (start,) + a.shape[axis + 1:])))
+        pieces.append(ops.constant(np.zeros(a.shape[:axis] + (start,) + a.shape[axis + 1:])))
     pieces.append(g)
     if stop < a.shape[axis]:
-        pieces.append(g.tape.constant(np.zeros(a.shape[:axis] + (a.shape[axis] - stop,) + a.shape[axis + 1:])))
-    return (concat(pieces, axis=axis) if len(pieces) > 1 else g,)
+        pieces.append(ops.constant(np.zeros(a.shape[:axis] + (a.shape[axis] - stop,) + a.shape[axis + 1:])))
+    return (ops.concat(pieces, axis=axis) if len(pieces) > 1 else g,)
 
 
-def _v_sgd_step(out, ins, h, extra, need):
+def _v_sgd_step(ops, out, ins, h, extra, need):
     # the adjoints of the sub(p, smul(g, alpha)) and sub(p, mul(r, g)) chains
     # this op replaces, with (h * -1) * alpha recorded as h * -alpha (same bits)
     alpha, fixed_g = extra
@@ -681,38 +709,38 @@ def _v_sgd_step(out, ins, h, extra, need):
     if fixed_g is not None:  # first order: p, and r with rates
         if alpha is not None:
             return (gp,)
-        return (gp, mul(smul(h, -1.0), h.tape.constant(fixed_g)) if need[1] else None)
+        return (gp, ops.mul(ops.smul(h, -1.0), ops.constant(fixed_g)) if need[1] else None)
     if alpha is not None:
-        return (gp, smul(h, -alpha) if need[1] else None)
+        return (gp, ops.smul(h, -alpha) if need[1] else None)
     if not (need[1] or need[2]):
         return (gp, None, None)
-    neg = smul(h, -1.0)
-    gr = mul(neg, ins[1]) if need[2] else None
-    return (gp, mul(neg, ins[2]) if need[1] else None, gr)
+    neg = ops.smul(h, -1.0)
+    gr = ops.mul(neg, ins[1]) if need[2] else None
+    return (gp, ops.mul(neg, ins[2]) if need[1] else None, gr)
 
 
-def _v_cosine(out, ins, g, _, need):
+def _v_cosine(ops, out, ins, g, _, need):
     # d cos / du = v/(|u||v|) - cos * u/|u|^2, times g: one cosine-grad node
     u, v = ins
-    return (_record("cosine-grad", (g, u, v, out)) if need[0] else None,
-            _record("cosine-grad", (g, v, u, out)) if need[1] else None)
+    return (ops.record("cosine-grad", (g, u, v, out)) if need[0] else None,
+            ops.record("cosine-grad", (g, v, u, out)) if need[1] else None)
 
 
-def _v_cosine_grad(out, ins, h, _, need):
+def _v_cosine_grad(ops, out, ins, h, _, need):
     # out = g (b p - a q) with p = ra rb, q = c ra^2, ra = |a|^-1, rb = |b|^-1;
     # with sa = <h, a>, sb = <h, b>:  <h, out> = g (sb p - sa q)
     g, a, b, c = ins
-    ra, rb = rsqrt(vsum(square(a))), rsqrt(vsum(square(b)))
-    ra2, rb2 = square(ra), square(rb)
-    sa, sb = vsum(mul(h, a)), vsum(mul(h, b))
-    p, q = mul(ra, rb), mul(c, ra2)
-    gp, gq = mul(g, p), mul(g, q)
-    gg = sub(mul(sb, p), mul(sa, q))
+    ra, rb = ops.rsqrt(ops.vsum(ops.square(a))), ops.rsqrt(ops.vsum(ops.square(b)))
+    ra2, rb2 = ops.square(ra), ops.square(rb)
+    sa, sb = ops.vsum(ops.mul(h, a)), ops.vsum(ops.mul(h, b))
+    p, q = ops.mul(ra, rb), ops.mul(c, ra2)
+    gp, gq = ops.mul(g, p), ops.mul(g, q)
+    gg = ops.sub(ops.mul(sb, p), ops.mul(sa, q))
     # through ra (d ra / da = -ra^3 a) and rb (d rb / db = -rb^3 b)
-    ka = mul(ra2, sub(mul(sb, gp), smul(mul(sa, gq), 2.0)))
-    ga = smul(add(mul(h, gq), mul(a, ka)), -1.0)
-    gb = sub(mul(h, gp), mul(b, mul(sb, mul(gp, rb2))))
-    gc = smul(mul(g, mul(sa, ra2)), -1.0)
+    ka = ops.mul(ra2, ops.sub(ops.mul(sb, gp), ops.smul(ops.mul(sa, gq), 2.0)))
+    ga = ops.smul(ops.add(ops.mul(h, gq), ops.mul(a, ka)), -1.0)
+    gb = ops.sub(ops.mul(h, gp), ops.mul(b, ops.mul(sb, ops.mul(gp, rb2))))
+    gc = ops.smul(ops.mul(g, ops.mul(sa, ra2)), -1.0)
     return tuple(x if wanted else None for x, wanted in zip((gg, ga, gb, gc), need))
 
 
@@ -764,15 +792,15 @@ def _walk(output: Var, wanted: list, record: bool = True) -> dict[int, Var]:
     reaches get recorded zero constants, marked so downstream consumers
     can tell them from detached values.
 
-    With `record` false the seed and the VJP ops live on an `_Unrecorded`
-    tape: the same floats, none recorded; reached adjoints come back as
-    constants on `output`'s tape.
+    With `record` false it runs on bare ndarrays (`_ArrayOps`): the same
+    floats, no Var and no node; reached adjoints come back as constants on
+    `output`'s tape.
     """
     tape = output.tape
     nodes = tape.nodes
-    on = tape if record else _Unrecorded()
+    ops = _TapeOps(tape) if record else _ArrayOps
     # np.array(1.0) is np.ones(()) at a fifth of the cost
-    seed = on.constant(np.ones(output.shape) if output.shape else np.array(1.0))
+    seed = ops.constant(np.ones(output.shape) if output.shape else np.array(1.0))
     wanted_set = set(wanted)
     need = 0
     for idx in wanted_set:
@@ -792,7 +820,7 @@ def _walk(output: Var, wanted: list, record: bool = True) -> dict[int, Var]:
         idx = -heappop(pending)
         g = adjoint.pop(idx)
         if type(g) is list:
-            g = add_n(g)
+            g = ops.add_n(g)
         if idx in wanted_set:
             found[idx] = g
             continue
@@ -800,13 +828,12 @@ def _walk(output: Var, wanted: list, record: bool = True) -> dict[int, Var]:
         if node.op in _TERMINAL:
             continue
         parents = node.parents
-        if need is None:
-            flags = (True,) * len(parents)
+        flags = (True,) * len(parents) if need is None else [nodes[p].mask & need for p in parents]
+        if record:
+            out, ins = Var(tape, idx, node.array), [Var(tape, p, nodes[p].array) for p in parents]
         else:
-            flags = [nodes[p].mask & need for p in parents]
-        out_var = Var(on, idx, node.array)
-        ins = [Var(on, p, nodes[p].array) for p in parents]
-        for parent, gp in zip(parents, _VJP[node.op](out_var, ins, g, node.extra, flags)):
+            out, ins = node.array, [nodes[p].array for p in parents]
+        for parent, gp in zip(parents, _VJP[node.op](ops, out, ins, g, node.extra, flags)):
             if gp is None:
                 continue
             cur = adjoint.get(parent)
@@ -817,33 +844,34 @@ def _walk(output: Var, wanted: list, record: bool = True) -> dict[int, Var]:
                 cur.append(gp)
             else:
                 adjoint[parent] = [cur, gp]
-    for idx in wanted:
+    for idx in dict.fromkeys(wanted):  # in order, a repeated index once
         if idx not in found:
             found[idx] = tape._append("const", (), np.zeros(nodes[idx].array.shape), _ZERO_GRAD)
         elif not record:
-            found[idx] = tape.constant(found[idx].array)
+            found[idx] = tape.constant(found[idx])
     return found
 
 
 def backward(output: Var) -> dict[int, Var]:
     """Gradient of `output` w.r.t. every leaf of its tape, keyed by leaf index.
 
-    The walk starts from ones (use a scalar output) and records no VJP: the
-    tape gains one constant per leaf, its adjoint or a marked zero for a
+    The walk starts from ones (use a scalar output) and runs on bare ndarrays:
+    the tape gains one constant per leaf, its adjoint or a marked zero for a
     leaf the sweep never reaches.  Use :func:`grad` to differentiate further.
     """
     return _walk(output, output.tape.leaves, record=False)
 
 
-def grad(output: Var, wrt) -> list[Var]:
+def grad(output: Var, wrt, record: bool = True) -> list[Var]:
     """Differentiable gradients of `output` w.r.t. the given Vars.
 
     The returned Vars are recorded on the same tape, so they support
     further composition (inner-update paths).  Unreached entries come back
-    as recorded zero constants.
+    as recorded zero constants.  With `record` false the walk runs on bare
+    ndarrays, as :func:`backward`'s does: reached gradients are constants.
     """
     wrt = list(wrt)
-    adjoints = _walk(output, [v.index for v in wrt])
+    adjoints = _walk(output, [v.index for v in wrt], record)
     return [adjoints[v.index] for v in wrt]
 
 

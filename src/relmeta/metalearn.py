@@ -6,7 +6,7 @@ One meta-batch is recorded on a fresh tape in a fixed phase order:
   B. task representations, the relation matrix and its trust weights, when enabled
   C. inner adaptation of every task on its meta-data support set
   D. per-task query losses, plus the weighted consistency term
-  E. one backward pass over the averaged objective, unrecorded: values only
+  E. one backward pass over the averaged objective, on bare arrays: values only
   F. one optimizer step on the underlying arrays
 
 Phases B and C commute (the matrix reads base extractor features, never
@@ -148,9 +148,10 @@ def _adapt(mv: nn.ModelVars, head: list, support_x, support_y, config: MetaConfi
 
     maml/metasgd adapt extractor and head; anil adapts the head only and
     reads the extractor frozen, so its support features are computed once.
-    Unless `first_order`, the returned parameters keep the inner-gradient
-    path alive for the outer backward.  `label` names the adaptation in
-    the non-finite-loss error.
+    Unless `first_order`, the inner gradients are recorded and the returned
+    parameters keep their path alive for the outer backward; first order
+    computes them on bare arrays, recording no VJP.  `label` names the
+    adaptation in the non-finite-loss error.
     """
     tape = mv.tape
     x = tape.constant(support_x)
@@ -169,7 +170,7 @@ def _adapt(mv: nn.ModelVars, head: list, support_x, support_y, config: MetaConfi
         if not math.isfinite(loss.array):  # a scalar: np.isfinite costs a ufunc call
             raise MetaLearnError(f"non-finite inner loss for {label}")
         cur = ad.grad_through_update(
-            cur, ad.grad(loss, cur), alpha=config.alpha,
+            cur, ad.grad(loss, cur, record=not first_order), alpha=config.alpha,
             first_order=first_order, rates=rates,
         )
     adapted = frozen + cur
@@ -383,7 +384,7 @@ def evaluate(model: nn.MetaModel, eval_tasks: list, config: MetaConfig) -> dict:
     if not eval_tasks:
         raise MetaLearnError("no evaluation tasks given")
     per_task = [adapted_query_mse(model, t, config) for t in eval_tasks]
-    return {"mean": float(np.mean(per_task)), "per_task": per_task}
+    return {"mean": summarize(per_task)[0], "per_task": per_task}
 
 
 def train(model: nn.MetaModel, layer, source: tk.TaskSource, config: MetaConfig) -> list:
@@ -406,13 +407,13 @@ def train(model: nn.MetaModel, layer, source: tk.TaskSource, config: MetaConfig)
             metrics = outer_step(model, layer, batch, config, optimizer)
             batch_mse.append(metrics["query_mse"])
             if metrics["trlearner"] is not None:
-                batch_tr.append(float(np.mean(metrics["trlearner"])))
+                batch_tr.append(summarize(metrics["trlearner"])[0])
             if metrics["matrix_normalized"] is not None:
                 last_matrix = metrics["matrix_normalized"]
         record = {
             "epoch": epoch,
-            "train_mse": float(np.mean(batch_mse)),
-            "trlearner_mse": float(np.mean(batch_tr)) if batch_tr else None,
+            "train_mse": summarize(batch_mse)[0],
+            "trlearner_mse": summarize(batch_tr)[0] if batch_tr else None,
         }
         if config.val_tasks > 0:
             val_tasks = [source.val_task(i) for i in range(config.val_tasks)]

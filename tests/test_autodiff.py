@@ -762,6 +762,57 @@ class TestFusedOpProperties:
 # ---------------------------------------------------------------------------
 # one recording path
 
+
+def count_forward_calls(monkeypatch):
+    """Wrap every `_FORWARD` entry to log its calls; returns the log, a list
+    of (kind, extra, value) in call order."""
+    calls = []
+    for kind, fwd in list(ad._FORWARD.items()):
+        def counted(xs, extra, kind=kind, fwd=fwd):
+            calls.append((kind, extra, fwd(xs, extra)))
+            return calls[-1][2]
+        monkeypatch.setitem(ad._FORWARD, kind, counted)
+    return calls
+
+
+def every_vjp_kind(tape):
+    """A scalar on `tape` whose graph holds a node of every `_VJP` kind, and a
+    name -> Var map of the nodes the `grad` tests ask for.
+
+    The inner gradients are recorded, so the outer walk meets the VJP kinds
+    (`mse-grad`, `tanh-grad`, `cosine-grad`) and every `sgd-step` variant;
+    the relu mask is mixed, the slice is padded on both sides, and one leaf
+    (and `lonely`) is reached by nothing.
+    """
+    rng = np.random.default_rng(4)
+    x, w, b = (tape.leaf(signed_uniform(rng, s)) for s in [(3, 2), (2, 2), (2,)])
+    u, rates = tape.leaf(signed_uniform(rng, (4,))), tape.leaf(rng.uniform(0.1, 0.3, size=(2, 2)))
+    unused = tape.leaf(np.ones(3))
+    y = tape.constant(signed_uniform(rng, (3, 2)))
+    h = ad.tanh(ad.affine(x, w, b))
+    gw, gu = ad.grad(ad.add(ad.mse(h, y), ad.cosine_similarity(u, ad.concat([b, b]))), [w, u])
+    steps = [ad.grad_through_update([w], [gw], alpha=0.1)[0],
+             ad.grad_through_update([w], [gw], rates=[rates])[0],
+             ad.grad_through_update([w], [gw], alpha=0.1, first_order=True)[0],
+             ad.grad_through_update([w], [gw], rates=[rates], first_order=True)[0]]
+    u1 = ad.grad_through_update([u], [gu], alpha=0.2)[0]
+    m1 = ad.matmul(x, ad.transpose(steps[0]), tb=True)
+    m2 = ad.matmul(h, x, ta=True)
+    m3 = ad.matmul(steps[2], m2, ta=True, tb=True)
+    r = ad.relu(ad.sub(m1, y))
+    d = ad.div(r, ad.sadd(ad.square(x), 1.0))
+    e = ad.mul(ad.smul(ad.sin(d), 0.5), ad.cos(b))
+    rs = ad.rsqrt(ad.sadd(ad.square(steps[3]), 1.0))
+    bc = ad.broadcast_to(ad.reshape(ad.vsum(rs, axis=0), (1, 2)), (3, 2))
+    cat = ad.concat([e, bc, m3], axis=0)
+    y2 = ad.square(y)
+    out = ad.add_n([ad.vsum(ad.mean(ad.slice_axis(cat, 0, 1, 6), axis=0)),
+                    ad.cosine_similarity(u1, ad.reshape(m2, (4,))), ad.mse(h, y),
+                    ad.mean(ad.mul(steps[1], m2)), ad.vsum(ad.mul(y2, r))])
+    named = dict(x=x, h=h, gw=gw, gu=gu, r=r, cat=cat, y2=y2, lonely=ad.sin(unused))
+    return out, named
+
+
 # each public op: the kind it records, and a call on operands `o` made beforehand
 PUBLIC_OPS = {
     "add": ("add", lambda o: ad.add(o.a, o.b)),
@@ -799,12 +850,7 @@ PUBLIC_OPS = {
 class TestOneRecordingPath:
     @pytest.mark.parametrize("name", sorted(PUBLIC_OPS))
     def test_each_op_takes_its_value_from_one_forward_call(self, name, monkeypatch):
-        calls = []
-        for kind, fwd in list(ad._FORWARD.items()):
-            def counted(xs, extra, kind=kind, fwd=fwd):
-                calls.append((kind, fwd(xs, extra)))
-                return calls[-1][1]
-            monkeypatch.setitem(ad._FORWARD, kind, counted)
+        calls = count_forward_calls(monkeypatch)
         tape, rng = ad.Tape(), np.random.default_rng(0)
         a, b = tape.leaf(rng.normal(size=(3, 2))), tape.leaf(rng.uniform(1.0, 2.0, size=(3, 2)))
         o = SimpleNamespace(a=a, b=b, c=tape.leaf(rng.normal(size=2)),
@@ -812,8 +858,29 @@ class TestOneRecordingPath:
         calls.clear()
         kind, record = PUBLIC_OPS[name]
         out = record(o)
-        assert [k for k, _ in calls] == [kind]
-        assert out.array is calls[0][1]
+        assert [k for k, _, _ in calls] == [kind]
+        assert out.array is calls[0][2]
+
+    def test_values_walk_takes_every_float_from_a_forward_call(self, monkeypatch):
+        # the values walk makes the calls the recorded walk makes, which are
+        # the nodes it records; each adjoint it returns is one call's value
+        calls = count_forward_calls(monkeypatch)
+        tape, twin = ad.Tape(), ad.Tape()
+        out, _ = every_vjp_kind(tape)
+        twin_out, _ = every_vjp_kind(twin)
+        calls.clear()
+        got = ad.backward(out)
+        computed = list(calls)
+        calls.clear()
+        before = len(twin)
+        ad._walk(twin_out, twin.leaves)
+        recorded = [(n.op, n.extra) for n in twin.nodes[before:] if n.op not in ad._TERMINAL]
+        assert [(k, e) for k, e, _ in computed] == [(k, e) for k, e, _ in calls] == recorded
+        assert len(recorded) > len(ad._VJP)
+        values = [v for _, _, v in computed]
+        for g in got.values():
+            if tape.nodes[g.index].extra != ad._ZERO_GRAD:
+                assert any(g.array is v for v in values)
 
     def test_every_op_kind_but_the_vjp_nodes_is_public(self):
         public = {kind for kind, _ in PUBLIC_OPS.values()}
@@ -930,6 +997,7 @@ class TestPrunedWalk:
         forward = nn.forward_features_with
         monkeypatch.setattr(nn, "forward_features_with",
                             lambda *args: calls.append(1) or forward(*args))
+        computed = count_forward_calls(monkeypatch)
         model = nn.init_model([1, 8, 8], 2, seed=3)
         config = ml.MetaConfig(method="anil", trlearner=False, eval_inner_steps=7)
         task = tk.TaskSource("sinusoid", 10, 15, seed=3).eval_task(0)
@@ -939,6 +1007,133 @@ class TestPrunedWalk:
         ml._adapt(mv, head, task.support_x, task.support_y, config, 7, True, "an evaluation task")
         ops = [n.op for n in tape.nodes]
         assert len(calls) == 1 and ops.count("tanh") == 2
-        assert "tanh-grad" not in ops
+        # first order: the inner gradients are computed, not recorded
+        assert "tanh-grad" not in ops and "matmul" not in ops
+        assert "tanh-grad" not in {kind for kind, _, _ in computed}
         # the only matmuls are the head-weight gradients features^T @ g
-        assert {n.extra for n in tape.nodes if n.op == "matmul"} == {(True, False)}
+        assert {extra for kind, extra, _ in computed if kind == "matmul"} == {(True, False)}
+
+
+# ---------------------------------------------------------------------------
+# values-only walk: the recorded walk's floats on bare ndarrays
+
+
+def assert_walks_agree(tape, before, got, twin, want):
+    """Adjoint Vars `got`, from a values walk that started at `before` on
+    `tape`, equal `want` from the recorded walk on its twin bit for bit; the
+    values walk added one constant per wanted node and nothing else."""
+    assert [n.op for n in tape.nodes[before:]] == ["const"] * len({g.index for g in got})
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.array.tobytes() == w.array.tobytes()
+        unreached = twin.nodes[w.index].extra == ad._ZERO_GRAD
+        assert (tape.nodes[g.index].extra == ad._ZERO_GRAD) == unreached
+        assert ad.is_detached(g) != unreached
+
+
+CHAIN_OPS = ["leaf", "constant", "add", "sub", "mul", "div", "smul", "sadd", "matmul", "affine", "mse",
+             "transpose", "reshape", "sum", "mean", "tanh", "relu", "sin", "cos", "square", "rsqrt",
+             "concat-slice", "cosine", "grad", "sgd-step"]
+CHAIN_STEPS = st.lists(st.tuples(st.sampled_from(CHAIN_OPS), st.integers(0, 99), st.integers(0, 99)),
+                       max_size=12)
+
+
+def _scalar_to_2x2(s):
+    return ad.broadcast_to(ad.reshape(s, (1, 1)), (2, 2))
+
+
+def build_chain(steps):
+    """(2, 2) values from `steps`; the output sums them all (n-ary accumulation)."""
+    tape = ad.Tape()
+    rng = np.random.default_rng(0)
+    vs = [tape.leaf(rng.normal(size=(2, 2))), tape.constant(rng.normal(size=(2, 2)))]
+    for kind, k, j in steps:
+        a, b, c = vs[k % len(vs)], vs[j % len(vs)], vs[(k + j) % len(vs)]
+        if kind in ("leaf", "constant"):
+            v = getattr(tape, kind)(np.full((2, 2), 0.02 * k - 1.0) + [[0.0, 0.3], [0.1, -0.2]])
+        elif kind in ("add", "sub", "mul"):
+            v = getattr(ad, kind)(a, b)
+        elif kind == "div":
+            v = ad.div(a, ad.sadd(ad.square(b), 0.5))
+        elif kind in ("smul", "sadd"):
+            v = getattr(ad, kind)(a, 0.02 * j - 1.0)
+        elif kind == "matmul":
+            v = ad.matmul(a, b, ta=k % 2 == 1, tb=j % 2 == 1)
+        elif kind == "affine":
+            v = ad.affine(a, b, ad.vsum(c, axis=0))
+        elif kind in ("mse", "mean"):
+            v = _scalar_to_2x2(ad.mse(a, b) if kind == "mse" else ad.mean(a))
+        elif kind == "transpose":
+            v = ad.transpose(a)
+        elif kind == "reshape":
+            v = ad.reshape(ad.reshape(a, (4,)), (2, 2))
+        elif kind == "sum":
+            v = ad.broadcast_to(ad.reshape(ad.vsum(a, axis=k % 2), (1, 2)), (2, 2))
+        elif kind == "rsqrt":
+            v = ad.rsqrt(ad.sadd(ad.square(a), 0.5))
+        elif kind == "concat-slice":
+            v = ad.slice_axis(ad.concat([a, b], axis=k % 2), k % 2, j % 3, j % 3 + 2)
+        elif kind == "cosine":
+            v = _scalar_to_2x2(ad.cosine_similarity(ad.reshape(a, (4,)), ad.reshape(b, (4,))))
+        elif kind == "grad":
+            inner = [ad.mse(ad.tanh(a), b), ad.vsum(ad.mul(ad.relu(a), b)),
+                     ad.cosine_similarity(ad.reshape(a, (4,)), ad.reshape(b, (4,)))][j % 3]
+            v = ad.grad(inner, [c])[0]
+        elif kind == "sgd-step":
+            first_order = ad.is_detached(b) or k % 2 == 1
+            rates = [c] if j % 2 else None
+            v = ad.grad_through_update([a], [b], alpha=0.1, first_order=first_order, rates=rates)[0]
+        else:
+            v = getattr(ad, kind)(a)
+        vs.append(v)
+    return tape, vs, ad.vsum(ad.add_n(vs))
+
+
+class TestValuesWalk:
+    def test_case_reaches_every_vjp_kind(self):
+        tape = ad.Tape()
+        out, named = every_vjp_kind(tape)
+        assert {tape.nodes[i].op for i in _ancestors(tape, [out.index])} >= set(ad._VJP)
+        assert 0 < np.count_nonzero(named["r"].array) < named["r"].array.size  # a mixed relu mask
+
+    def test_backward_is_bitwise_the_recorded_walk(self):
+        tape, twin = ad.Tape(), ad.Tape()
+        (out, _), (twin_out, _) = every_vjp_kind(tape), every_vjp_kind(twin)
+        before = len(tape)
+        got, want = ad.backward(out), ad._walk(twin_out, twin.leaves)
+        assert list(got) == list(want) and sorted(got) == tape.leaves
+        assert_walks_agree(tape, before, list(got.values()), twin, list(want.values()))
+        assert sum(tape.nodes[g.index].extra == ad._ZERO_GRAD for g in got.values()) == 1
+
+    @pytest.mark.parametrize("names", [("h", "gw", "cat", "lonely", "x", "h"), ("y2", "gu", "lonely", "y2")])
+    def test_grad_toward_inner_nodes_is_bitwise_the_recorded_walk(self, names):
+        # the second case asks for a node on no leaf: every adjoint is built
+        tape, twin = ad.Tape(), ad.Tape()
+        (out, named), (twin_out, twin_named) = every_vjp_kind(tape), every_vjp_kind(twin)
+        before = len(tape)
+        got = ad.grad(out, [named[n] for n in names], record=False)
+        want = ad.grad(twin_out, [twin_named[n] for n in names])
+        assert_walks_agree(tape, before, got, twin, want)
+
+    def test_contributions_sum_in_arrival_order(self):
+        # x's adjoint gets g, then -1e16 g, then 1e16 g: only that order gives 0
+        tape = ad.Tape()
+        x = tape.leaf([1.0, 2.0])
+        out = ad.vsum(ad.add_n([ad.smul(x, 1e16), x, ad.smul(x, -1e16)]))
+        (got,), (want,) = ad.grad(out, [x], record=False), ad.grad(out, [x])
+        assert got.array.tobytes() == want.array.tobytes()
+        assert np.array_equal(got.array, [0.0, 0.0]) and (1e16 + -1e16) + 1.0 == 1.0
+
+    @settings(max_examples=150, deadline=None)
+    @given(steps=CHAIN_STEPS, picks=st.lists(st.integers(0, 99), min_size=1, max_size=4))
+    def test_random_op_chains_walk_bitwise_alike(self, steps, picks):
+        with np.errstate(all="ignore"):
+            tape, vs, out = build_chain(steps)
+            twin, twin_vs, twin_out = build_chain(steps)
+            before = len(tape)
+            got, want = ad.backward(out), ad._walk(twin_out, twin.leaves)
+            assert_walks_agree(tape, before, list(got.values()), twin, list(want.values()))
+            before = len(tape)
+            got = ad.grad(out, [vs[p % len(vs)] for p in picks], record=False)
+            want = ad.grad(twin_out, [twin_vs[p % len(vs)] for p in picks])
+        assert_walks_agree(tape, before, got, twin, want)

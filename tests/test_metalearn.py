@@ -1,4 +1,5 @@
 import gc
+import json
 import statistics
 import warnings
 import weakref
@@ -536,6 +537,19 @@ class TestEvaluate:
         assert len(out["per_task"]) == 4
         assert out["mean"] == pytest.approx(np.mean(out["per_task"]))
 
+    def test_huge_finite_losses_give_a_finite_mean(self, monkeypatch):
+        # np.mean overflows on these; log.jsonl would get a non-JSON Infinity
+        huge = [1.5e308, 1.2e308, 0.9e308]
+        losses = iter(huge)
+        monkeypatch.setattr(ml, "adapted_query_mse", lambda model, task, config: next(losses))
+        config = small_config()
+        model, _, _ = build(config)
+        with np.errstate(over="ignore"):
+            assert np.mean(huge) == np.inf
+        out = ml.evaluate(model, [None] * 3, config)
+        assert out["mean"] == ml.summarize(huge)[0] == pytest.approx(1.2e308, rel=1e-15)
+        json.dumps(out, allow_nan=False)
+
 
 class TestTrain:
     def test_zero_epochs_no_change(self):
@@ -565,6 +579,17 @@ class TestTrain:
         assert all(np.isfinite(r["val_mse"]) for r in log)
         assert "matrix" not in log[0] and "matrix" in log[1]
         assert np.allclose(np.sum(log[1]["matrix"], axis=1), 1.0)
+
+    def test_huge_finite_batch_losses_give_finite_epoch_means(self, monkeypatch):
+        huge = [1.5e308, 1.2e308, 0.9e308]
+        metrics = {"query_mse": 1.5e308, "trlearner": huge, "matrix_normalized": None}
+        monkeypatch.setattr(ml, "outer_step", lambda *args: metrics)
+        config = small_config(batches_per_epoch=3)
+        model, layer, source = build(config)
+        (record,) = ml.train(model, layer, source, config)
+        assert record["trlearner_mse"] == ml.summarize([ml.summarize(huge)[0]] * 3)[0]
+        assert record["train_mse"] == 1.5e308
+        json.dumps(record, allow_nan=False)
 
     def test_trlearner_off_has_no_consistency_log(self):
         config = small_config(trlearner=False)
