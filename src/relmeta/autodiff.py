@@ -19,10 +19,11 @@ Each node also records, as an int bitmask, which leaves it depends on
 (leaf k sets bit k; constants are 0).  A reverse walk builds adjoints only
 toward parents that share a leaf with one of the nodes it was asked for,
 so no VJP is recorded toward data, masks or a frozen sub-graph.  A few
-fused ops (`matmul` with transposed operands, `affine`, `mse`, the n-ary
-`add` of `add_n`, the `sgd-step` update and the tanh and cosine VJPs)
-stand for chains of primitives: each computes the same float expression
-the chain did, in one node.
+fused ops (`matmul` with transposed operands, `affine`, `affine-tanh`
+for one tanh layer, `mse`, the n-ary `add` of `add_n`, the `sgd-step`
+update and the tanh and cosine VJPs) stand for chains of primitives: each
+computes the same float expression the chain did, in one node, and its
+VJP records the nodes the chain's VJPs recorded.
 
 A tape is single-owner: record and differentiate from one execution
 context.  Independent tapes are cheap; the training loop makes a fresh one
@@ -186,6 +187,10 @@ def _f_affine(xs, _):
     return xs[0] @ xs[1] + xs[2]
 
 
+def _f_affine_tanh(xs, _):
+    return np.tanh(xs[0] @ xs[1] + xs[2])
+
+
 def _count(axis, shape) -> int:
     """Entries a reduction over `axis` (None or non-negative axes) sums.
 
@@ -295,6 +300,7 @@ _FORWARD = {
     "scalar-add": _f_sadd,
     "matmul": _f_matmul,
     "affine": _f_affine,
+    "affine-tanh": _f_affine_tanh,
     "mse": _f_mse,
     "mse-grad": _f_mse_grad,
     "tanh-grad": _f_tanh_grad,
@@ -394,10 +400,20 @@ def matmul(a: Var, b: Var, ta: bool = False, tb: bool = False) -> Var:
 
 def affine(h: Var, w: Var, b: Var) -> Var:
     """h @ w + b for a (n, i) batch, (i, o) weights and an (o,) bias."""
+    _check_affine("affine", h, w, b)
+    return _record("affine", (h, w, b))
+
+
+def affine_tanh(h: Var, w: Var, b: Var) -> Var:
+    """tanh(h @ w + b), one tanh layer in one node: bitwise `tanh(affine(h, w, b))`."""
+    _check_affine("affine-tanh", h, w, b)
+    return _record("affine-tanh", (h, w, b))
+
+
+def _check_affine(op: str, h: Var, w: Var, b: Var) -> None:
     if (h.array.ndim != 2 or w.array.ndim != 2 or h.shape[1] != w.shape[0]
             or b.shape != (w.shape[1],)):
-        raise ShapeError(f"op 'affine': incompatible shapes {h.shape} @ {w.shape} + {b.shape}")
-    return _record("affine", (h, w, b))
+        raise ShapeError(f"op '{op}': incompatible shapes {h.shape} @ {w.shape} + {b.shape}")
 
 
 def mse(pred: Var, y: Var) -> Var:
@@ -597,6 +613,12 @@ def _v_affine(ops, out, ins, g, _, need):
     return (gh, gw, gb)
 
 
+def _v_affine_tanh(ops, out, ins, g, _, need):
+    # the tanh step's tanh-grad node, then the affine VJP: the nodes, in the
+    # order, that the tanh(affine) chain this op replaces recorded
+    return _v_affine(ops, None, ins, ops.record("tanh-grad", (g, out)), None, need)
+
+
 def _v_mse(ops, out, ins, g, _, need):
     p, y = ins
     gp = ops.record("mse-grad", (g, p, y), 1.0 / float(math.prod(p.shape)))
@@ -753,6 +775,7 @@ _VJP = {
     "scalar-add": _v_sadd,
     "matmul": _v_matmul,
     "affine": _v_affine,
+    "affine-tanh": _v_affine_tanh,
     "mse": _v_mse,
     "mse-grad": _v_mse_grad,
     "tanh-grad": _v_tanh_grad,
@@ -778,7 +801,7 @@ _VJP = {
 # ---------------------------------------------------------------------------
 # backward engine
 
-def _walk(output: Var, wanted: list, record: bool = True) -> dict[int, Var]:
+def _walk(output: Var, wanted: list, record: bool = True) -> dict:
     """Reverse walk from `output`; the adjoint Var of every index in `wanted`.
 
     The walk stops at wanted nodes as well as at leaves and constants.  It
@@ -793,8 +816,8 @@ def _walk(output: Var, wanted: list, record: bool = True) -> dict[int, Var]:
     can tell them from detached values.
 
     With `record` false it runs on bare ndarrays (`_ArrayOps`): the same
-    floats, no Var and no node; reached adjoints come back as constants on
-    `output`'s tape.
+    floats, no Var and no node, and it returns the bare adjoints of the
+    reached wanted nodes only.
     """
     tape = output.tape
     nodes = tape.nodes
@@ -844,12 +867,16 @@ def _walk(output: Var, wanted: list, record: bool = True) -> dict[int, Var]:
                 cur.append(gp)
             else:
                 adjoint[parent] = [cur, gp]
-    for idx in dict.fromkeys(wanted):  # in order, a repeated index once
-        if idx not in found:
-            found[idx] = tape._append("const", (), np.zeros(nodes[idx].array.shape), _ZERO_GRAD)
-        elif not record:
-            found[idx] = tape.constant(found[idx])
+    if record:
+        for idx in dict.fromkeys(wanted):  # in order, a repeated index once
+            if idx not in found:
+                found[idx] = _zero_grad(tape, idx)
     return found
+
+
+def _zero_grad(tape: Tape, idx: int) -> Var:
+    """A recorded zero adjoint for node `idx`, marked as unreached."""
+    return tape._append("const", (), np.zeros(tape.nodes[idx].array.shape), _ZERO_GRAD)
 
 
 def backward(output: Var) -> dict[int, Var]:
@@ -859,20 +886,27 @@ def backward(output: Var) -> dict[int, Var]:
     the tape gains one constant per leaf, its adjoint or a marked zero for a
     leaf the sweep never reaches.  Use :func:`grad` to differentiate further.
     """
-    return _walk(output, output.tape.leaves, record=False)
+    tape = output.tape
+    adjoints = _walk(output, tape.leaves, record=False)
+    for idx in tape.leaves:
+        adjoints[idx] = tape.constant(adjoints[idx]) if idx in adjoints else _zero_grad(tape, idx)
+    return adjoints
 
 
-def grad(output: Var, wrt, record: bool = True) -> list[Var]:
+def grad(output: Var, wrt, record: bool = True) -> list:
     """Differentiable gradients of `output` w.r.t. the given Vars.
 
     The returned Vars are recorded on the same tape, so they support
     further composition (inner-update paths).  Unreached entries come back
     as recorded zero constants.  With `record` false the walk runs on bare
-    ndarrays, as :func:`backward`'s does: reached gradients are constants.
+    ndarrays, as :func:`backward`'s does, and the gradients come back as
+    ndarrays, zeros where unreached: the tape gains no node.
     """
     wrt = list(wrt)
     adjoints = _walk(output, [v.index for v in wrt], record)
-    return [adjoints[v.index] for v in wrt]
+    if record:
+        return [adjoints[v.index] for v in wrt]
+    return [np.asarray(adjoints[v.index]) if v.index in adjoints else np.zeros(v.shape) for v in wrt]
 
 
 def is_detached(v: Var) -> bool:
@@ -886,9 +920,10 @@ def grad_through_update(params, inner_grads, alpha=0.01, first_order=False, rate
 
     Each update is one `sgd-step` node.  In second-order mode (default) the
     gradients must themselves be tape nodes so a later backward pass flows
-    through them; passing detached gradients raises instead of silently
-    degrading to first order.  With ``first_order=True`` the gradients
-    enter the update as constants.
+    through them; passing detached gradients (or bare arrays) raises instead
+    of silently degrading to first order.  With ``first_order=True`` only
+    the gradients' values enter the update: ndarrays, as
+    ``grad(..., record=False)`` returns them, or Vars.
 
     ``rates`` (elementwise learning-rate Vars, one per param) replaces the
     scalar ``alpha`` when given.
@@ -899,7 +934,7 @@ def grad_through_update(params, inner_grads, alpha=0.01, first_order=False, rate
         raise AutodiffError("grad_through_update: params and inner_grads lengths differ")
     if not first_order:
         for g in inner_grads:
-            if is_detached(g):
+            if not isinstance(g, Var) or is_detached(g):
                 raise DetachedGradientError(
                     "grad_through_update: detached inner gradient in second-order mode; "
                     "pass first_order=True to request the first-order approximation explicitly"
@@ -911,13 +946,17 @@ def grad_through_update(params, inner_grads, alpha=0.01, first_order=False, rate
     return [_sgd_step(p, g, r, None, first_order) for p, g, r in zip(params, inner_grads, rates)]
 
 
-def _sgd_step(p: Var, g: Var, r, alpha, first_order: bool) -> Var:
+def _sgd_step(p: Var, g, r, alpha, first_order: bool) -> Var:
     """One `sgd-step` node: p - g * alpha, or p - r * g with a rate Var r.
 
-    Second order makes g a parent.  First order keeps g's value in the
-    node instead, so the node carries p's leaf mask (and r's) only.
+    Second order makes the Var g a parent.  First order keeps g's value (g
+    itself when it is an ndarray) in the node instead, so the node carries
+    p's leaf mask (and r's) only.
     """
-    parents = (p,) if first_order else (p, g)
+    if first_order:
+        parents, fixed_g = (p,), g.array if isinstance(g, Var) else g
+    else:
+        parents, fixed_g = (p, g), None
     if r is not None:
         parents += (r,)
-    return _record("sgd-step", parents, (alpha, g.array if first_order else None))
+    return _record("sgd-step", parents, (alpha, fixed_g))

@@ -150,7 +150,8 @@ def _adapt(mv: nn.ModelVars, head: list, support_x, support_y, config: MetaConfi
     reads the extractor frozen, so its support features are computed once.
     Unless `first_order`, the inner gradients are recorded and the returned
     parameters keep their path alive for the outer backward; first order
-    computes them on bare arrays, recording no VJP.  `label` names the
+    computes them as bare arrays, which the `sgd-step` nodes hold: no VJP
+    and no gradient node is recorded.  `label` names the
     adaptation in the non-finite-loss error.
     """
     tape = mv.tape
@@ -342,15 +343,17 @@ def adapted_query_mse(model: nn.MetaModel, task: tk.TaskInstance, config: MetaCo
     """Adapt a fresh zero head on the task's support set, score its query set.
 
     Training heads belong to training batch slots, so evaluation always
-    starts from a zero head (matching how heads begin every meta-batch).
-    Updates here never flow back, so the first-order graph suffices.
+    starts from a zero head (matching how heads begin every meta-batch),
+    and the tape binds that head in their place: its leaves are the
+    extractor, the inner rates and the zero head.  Updates here never flow
+    back, so the first-order graph suffices: the inner gradients are
+    values, and no node records them.
     """
     tape = ad.Tape()
-    mv = nn.bind(model, tape)
     d = model.feature_width
-    head = [tape.leaf(np.zeros((d, 1))), tape.leaf(np.zeros(1))]
+    mv = nn.bind(model, tape, heads=[(np.zeros((d, 1)), np.zeros(1))])
     steps = config.inner_steps if config.eval_inner_steps is None else config.eval_inner_steps
-    adapted = _adapt(mv, head, task.support_x, task.support_y, config, steps,
+    adapted = _adapt(mv, mv.head_params(0), task.support_x, task.support_y, config, steps,
                      True, "an evaluation task")
     qx = tape.constant(task.query_x)
     qy = tape.constant(task.query_y)

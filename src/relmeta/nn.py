@@ -88,12 +88,15 @@ class MetaModel:
             w.fill(0.0)
             b.fill(0.0)
 
-    def named_params(self):
-        """Stable (name, array) ordering: extractor layers, then heads, then rates."""
+    def named_params(self, heads=None):
+        """Stable (name, array) ordering: extractor layers, then heads, then rates.
+
+        `heads`, a list of (w, b) pairs, stands in for the model's own heads.
+        """
         for li, (w, b) in enumerate(self.extractor):
             yield f"g{li}.w", w
             yield f"g{li}.b", b
-        for hi, (w, b) in enumerate(self.heads):
+        for hi, (w, b) in enumerate(self.heads if heads is None else heads):
             yield f"h{hi}.w", w
             yield f"h{hi}.b", b
         if self.inner_rates is not None:
@@ -111,21 +114,26 @@ def init_model(layer_sizes, n_heads: int, seed: int, input_scale: float = 1.0) -
 class ModelVars:
     """Leaf Vars for one model on one tape; the unit the engine works on.
 
-    `named` holds one (name, leaf) pair per `model.named_params()` entry, in
-    that order; `extractor`, `heads` and `rates` are (w, b) views of the
-    same leaves.  `rates` follows the extractor's order and ends with the
-    pair every head shares; it is None without inner rates.
+    `named` holds one (name, leaf) pair per `model.named_params(heads)`
+    entry, in that order; `extractor`, `heads` and `rates` are (w, b) views
+    of the same leaves.  `heads` defaults to the model's own.  `rates`
+    follows the extractor's order and ends with the pair every head shares;
+    it is None without inner rates.  `scaled_inputs` maps an input Var to
+    its one recorded `input_scale` product, which every forward pass on
+    that Var shares.
     """
 
-    __slots__ = ("model", "tape", "named", "extractor", "heads", "rates")
+    __slots__ = ("model", "tape", "named", "extractor", "heads", "rates", "scaled_inputs")
 
-    def __init__(self, model: MetaModel, tape: ad.Tape):
+    def __init__(self, model: MetaModel, tape: ad.Tape, heads=None):
         self.model = model
         self.tape = tape
-        self.named = [(name, tape.leaf(arr)) for name, arr in model.named_params()]
+        self.scaled_inputs = {}
+        heads = model.heads if heads is None else heads
+        self.named = [(name, tape.leaf(arr)) for name, arr in model.named_params(heads)]
         leaves = [v for _, v in self.named]
         pairs = list(zip(leaves[0::2], leaves[1::2]))
-        n_ext, n_heads = len(model.extractor), len(model.heads)
+        n_ext, n_heads = len(model.extractor), len(heads)
         self.extractor = pairs[:n_ext]
         self.heads = pairs[n_ext:n_ext + n_heads]
         self.rates = pairs[n_ext + n_heads:] or None
@@ -139,8 +147,10 @@ class ModelVars:
         return list(self.heads[i])
 
 
-def bind(model: MetaModel, tape: ad.Tape) -> ModelVars:
-    return ModelVars(model, tape)
+def bind(model: MetaModel, tape: ad.Tape, heads=None) -> ModelVars:
+    """The model's parameters as leaves of `tape`; `heads`, a list of (w, b)
+    pairs, is bound in place of the model's own heads when given."""
+    return ModelVars(model, tape, heads)
 
 
 def forward_features(mv: ModelVars, x: ad.Var) -> ad.Var:
@@ -163,9 +173,11 @@ def forward_features_with(mv: ModelVars, params: list, x: ad.Var) -> ad.Var:
 def _extract(mv: ModelVars, params: list, x: ad.Var) -> ad.Var:
     # Scale 1.0 stays off the tape so unscaled graphs are unchanged.
     scale = mv.model.input_scale
-    h = x if scale == 1.0 else ad.smul(x, scale)
+    h = x if scale == 1.0 else mv.scaled_inputs.get(x)
+    if h is None:
+        h = mv.scaled_inputs[x] = ad.smul(x, scale)
     for li in range(len(mv.extractor)):
-        h = ad.tanh(ad.affine(h, params[2 * li], params[2 * li + 1]))
+        h = ad.affine_tanh(h, params[2 * li], params[2 * li + 1])
     return h
 
 

@@ -147,11 +147,13 @@ METADATA_STRATEGIES = ("uniform", "scored")
 def extract_metadata(task: TaskInstance, strategy: str = "uniform", m_samples=None, seed=0) -> MetaData:
     """Select the support subset a task is represented and adapted by.
 
-    `uniform` draws a seeded subsample without replacement; `scored`
-    greedily keeps the m points with maximal pairwise x separation
-    (furthest pair first, then max-min additions).  The query subset is
-    always the full query set.  Index order of the original support is
-    preserved so m = n_support reproduces it exactly.
+    `uniform` draws a subsample without replacement, seeded by anything
+    `np.random.default_rng` takes; `scored` greedily keeps the m points with
+    maximal pairwise x separation (furthest pair first, then max-min
+    additions).  The query subset is always the full query set.  Index
+    order of the original support is preserved, so m = n_support (or None)
+    keeps the whole support: then neither strategy draws or scores, and
+    the arrays are plain copies.
     """
     if strategy not in METADATA_STRATEGIES:
         raise TaskError(f"unknown metadata strategy {strategy!r}")
@@ -163,25 +165,29 @@ def extract_metadata(task: TaskInstance, strategy: str = "uniform", m_samples=No
     if m_samples > n:
         raise TaskError(f"m_samples {m_samples} exceeds support size {n}")
 
-    if strategy == "uniform":
-        idx = np.sort(np.random.default_rng(seed).choice(n, size=m_samples, replace=False))
-    elif m_samples == 1:
-        idx = np.array([0])
+    if m_samples == n:
+        support_x, support_y = task.support_x.copy(), task.support_y.copy()
     else:
-        xs = task.support_x.ravel()
-        d = np.abs(xs[:, None] - xs[None, :])
-        chosen = list(np.unravel_index(np.argmax(d), d.shape))
-        while len(chosen) < m_samples:
-            rest = [i for i in range(n) if i not in chosen]
-            chosen.append(max(rest, key=lambda i: (d[i, chosen].min(), -i)))
-        idx = np.sort(np.array(chosen))
+        idx = _support_index(task, strategy, m_samples, seed)
+        support_x, support_y = task.support_x[idx], task.support_y[idx]  # fancy indexing copies
+    return MetaData(support_x=support_x, support_y=support_y,
+                    query_x=task.query_x.copy(), query_y=task.query_y.copy())
 
-    return MetaData(
-        support_x=task.support_x[idx].copy(),
-        support_y=task.support_y[idx].copy(),
-        query_x=task.query_x.copy(),
-        query_y=task.query_y.copy(),
-    )
+
+def _support_index(task: TaskInstance, strategy: str, m_samples: int, seed) -> np.ndarray:
+    """The sorted support indices `strategy` selects, m_samples of them."""
+    n = task.n_support
+    if strategy == "uniform":
+        return np.sort(np.random.default_rng(seed).choice(n, size=m_samples, replace=False))
+    if m_samples == 1:
+        return np.array([0])
+    xs = task.support_x.ravel()
+    d = np.abs(xs[:, None] - xs[None, :])
+    chosen = list(np.unravel_index(np.argmax(d), d.shape))
+    while len(chosen) < m_samples:
+        rest = [i for i in range(n) if i not in chosen]
+        chosen.append(max(rest, key=lambda i: (d[i, chosen].min(), -i)))
+    return np.sort(np.array(chosen))
 
 
 class TaskSource:
@@ -250,8 +256,7 @@ class TaskSource:
 
 def make_task_batch(tasks: list, strategy: str = "uniform", m_samples=None, seed=0) -> TaskBatch:
     base = tuple(int(s) for s in seed) if isinstance(seed, (tuple, list)) else (int(seed),)
-    metadata = [
-        extract_metadata(t, strategy, m_samples, np.random.SeedSequence(base + (17, i)))
-        for i, t in enumerate(tasks)
-    ]
+    # default_rng(tuple) seeds from SeedSequence(tuple): no sequence is built
+    # for a batch that keeps every support point
+    metadata = [extract_metadata(t, strategy, m_samples, base + (17, i)) for i, t in enumerate(tasks)]
     return TaskBatch(tasks=tasks, metadata=metadata)

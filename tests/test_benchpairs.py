@@ -83,6 +83,26 @@ def test_a_traced_pair_alone_has_no_end_to_end_entry(tmp_path):
     assert entry["end_to_end"] == {} and set(entry["per_layer"]) == set(benchpairs.SIDES)
 
 
+def test_per_layer_figures_are_medians_over_the_traced_runs(tmp_path):
+    # three traced runs per side: each metric's median, not the last run's
+    runs = {"parent": [(2.0, 30), (9.0, 10), (2.5, 20)], "change": [(1.0, 7), (5.0, 7), (3.0, 8)]}
+    lines = []
+    for side, values in runs.items():
+        for pair, (ms, count) in enumerate(values):
+            line = _line(side, pair, {}, trace=1)
+            line["result"]["metrics"] = {"autodiff.grad_ms": {"value": ms, "unit": "ms"},
+                                         "autodiff.forward_nodes": {"value": count, "unit": "count"}}
+            lines.append(line)
+    src = tmp_path / "pairs.jsonl"
+    src.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    out = tmp_path / "bench.json"
+    assert benchpairs.main(["build", str(src), "--out", str(out)]) == 0
+    entry = json.loads(out.read_text())["workloads"]["w"]
+    assert entry["per_layer"] == {"parent": {"autodiff.grad_ms": 2.5, "autodiff.forward_nodes": 20},
+                                  "change": {"autodiff.grad_ms": 3.0, "autodiff.forward_nodes": 7}}
+    assert entry["traced_runs"] == {"parent": 3, "change": 3}
+
+
 def test_ties_count_for_neither_side(tmp_path):
     got = _build(tmp_path, [{} for _ in range(10)], [{} for _ in range(10)])
     assert {m["change_wins"] for m in got.values()} == {0}

@@ -530,6 +530,28 @@ class TestEvaluate:
                 pytest.raises(ml.MetaLearnError, match="non-finite query loss for an evaluation task"):
             ml.adapted_query_mse(model, task, config)
 
+    @pytest.mark.parametrize("family", ["sinusoid", "harmonic"])
+    @pytest.mark.parametrize("method", ml.METHODS)
+    def test_evaluation_tape_holds_only_read_nodes(self, method, family, monkeypatch):
+        # a 16-head model: no training head is bound, no gradient is a node,
+        # and every node but the step losses and the output feeds a later one
+        config = small_config(method=method, batch_tasks=16, hidden=(40, 40), eval_inner_steps=7)
+        model = nn.init_model([1, 40, 40], 16, seed=0, input_scale=tk.INPUT_SCALES[family])
+        if method == "metasgd":
+            model.enable_inner_rates(config.alpha)
+        tapes, bind = [], nn.bind
+        monkeypatch.setattr(nn, "bind", lambda m, tape, **kw: tapes.append(tape) or bind(m, tape, **kw))
+        ml.adapted_query_mse(model, tk.TaskSource(family, 10, 15, seed=0).eval_task(0), config)
+        (tape,) = tapes
+        rates = [arr for name, arr in model.named_params() if name.startswith("lr.")]
+        want = [arr for pair in model.extractor for arr in pair] + [np.zeros((40, 1)), np.zeros(1)] + rates
+        leaves = [tape.nodes[i].array for i in tape.leaves]
+        assert len(leaves) == len(want) == 6 + 6 * (method == "metasgd")
+        assert all(a.shape == b.shape and np.array_equal(a, b) for a, b in zip(leaves, want))
+        read = {p for node in tape.nodes for p in node.parents}
+        unread = [i for i in range(len(tape)) if i not in read]
+        assert [tape.nodes[i].op for i in unread] == ["mse"] * 8 and unread[-1] == len(tape) - 1
+
     def test_evaluate_aggregates(self):
         config = small_config()
         model, _, source = build(config)

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import relmeta.tasks as tk
 
@@ -123,6 +125,34 @@ class TestMetadata:
         assert np.array_equal(md.support_x, t.support_x)
         assert np.array_equal(md.support_y, t.support_y)
         assert np.array_equal(md.query_x, t.query_x)
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+           strategy=st.sampled_from(tk.METADATA_STRATEGIES), m_is_none=st.booleans())
+    def test_full_support_is_the_drawn_subset(self, n, seed, strategy, m_is_none):
+        # the shortcut for m = n (or None) returns what the draw would select,
+        # as writeable copies, also of a read-only (pool) task
+        t = tk.gen_harmonic(seed, n, 3)
+        for arr in (t.support_x, t.support_y, t.query_x, t.query_y):
+            arr.flags.writeable = False
+        md = tk.extract_metadata(t, strategy, None if m_is_none else n, seed=(seed, 17))
+        idx = tk._support_index(t, strategy, n, (seed, 17))
+        pairs = [(md.support_x, t.support_x[idx]), (md.support_y, t.support_y[idx]),
+                 (md.query_x, t.query_x), (md.query_y, t.query_y)]
+        for got, want in pairs:
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            assert got.flags.writeable and not any(
+                np.shares_memory(got, a) for a in (t.support_x, t.support_y, t.query_x, t.query_y))
+
+    @pytest.mark.parametrize("seed", [0, (3, 4, 1, 2)])
+    def test_batch_draws_from_its_seed_sequence(self, seed):
+        tasks = [tk.gen_sinusoid(i, 10, 5) for i in range(3)]
+        batch = tk.make_task_batch(tasks, "uniform", 4, seed=seed)
+        base = seed if isinstance(seed, tuple) else (seed,)
+        for i, (t, md) in enumerate(zip(tasks, batch.metadata)):
+            want = tk.extract_metadata(t, "uniform", 4, np.random.SeedSequence(base + (17, i)))
+            assert np.array_equal(md.support_x, want.support_x)
+            assert np.array_equal(md.support_y, want.support_y)
 
     def test_default_is_full_support(self):
         t = tk.gen_sinusoid(1, 10, 15)

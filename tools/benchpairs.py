@@ -10,9 +10,10 @@ drift of the host's speed does not favour one side.  Each run appends one
 JSON line: the side, workload, seed, pair, and perfbench's own `env` and
 result lines.  `build` turns those lines into the record: per workload the
 median and quartiles of every end-to-end metric on each side over the
-`--trace 0` pairs, the pairs the change won, and one `--trace 1` run's
-per-layer metrics per side; plus both SHAs, the lines of `src/` on each
-side, the Python and numpy versions, `nproc` and the acceptance time.
+`--trace 0` pairs, the pairs the change won, and per side the median of
+every per-layer metric over its `--trace 1` runs, with their number; plus
+both SHAs, the lines of `src/` on each side, the Python and numpy
+versions, `nproc` and the acceptance time.
 
 Each side's failed operations and whether all its runs were correct are
 recorded apart.  Each end-to-end metric also gets a verdict.  `gain`: the
@@ -129,9 +130,13 @@ def build(args) -> int:
                 unit=pairs[0]["change"][name]["unit"],
                 verdict=verdict(sides["parent"], sides["change"], wins, len(pairs),
                                 direction, bounds[name], more_failed))
-        traced = {line["side"]: line["result"]["metrics"] for line in mine if line["trace"] == 1}
-        entry["per_layer"] = {side: {k: m["value"] for k, m in traced[side].items()}
-                              for side in SIDES if side in traced}
+        traced = {}
+        for line in mine:
+            if line["trace"] == 1:
+                traced.setdefault(line["side"], []).append(line["result"]["metrics"])
+        entry["traced_runs"] = {side: len(runs) for side, runs in traced.items()}
+        entry["per_layer"] = {side: {k: statistics.median(run[k]["value"] for run in runs)
+                                     for k in runs[0]} for side, runs in traced.items()}
         record["workloads"][workload] = entry
     Path(args.out).write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
     print(f"wrote {args.out}")
