@@ -4,7 +4,10 @@ Values are dense float64 tensors.  Every primitive operation appends one
 node to a :class:`Tape`; a node only references lower-indexed nodes, so a
 plain reverse walk implements backpropagation.  Every op other than a leaf
 or a constant is recorded by `_record`, which takes the node's value from
-the op's `_FORWARD` entry, the same function `Tape.replay` calls.
+the op's `_FORWARD` entry, the same function `Tape.replay` calls.  A
+replay given new arrays for some leaves and constants reruns the recorded
+graph on them, bit for bit what recording it afresh would compute, when
+:func:`check_replayable` accepts the graph.
 
 Each op's vector-Jacobian product is written once, against the op set it
 is handed.  :func:`grad` records it, so the gradients it returns are tape
@@ -17,9 +20,9 @@ nothing differentiates again, runs the same walk on bare ndarrays, as does
 
 Each node also records, as an int bitmask, which leaves it depends on
 (leaf k sets bit k; constants are 0).  A reverse walk builds adjoints only
-toward parents that share a leaf with one of the nodes it was asked for,
-so no VJP is recorded toward data, masks or a frozen sub-graph.  A few
-fused ops (`matmul` with transposed operands, `affine`, `affine-tanh`
+toward parents whose masks allow them to depend on one of the nodes it was
+asked for, so no VJP is recorded toward data, masks or a frozen sub-graph.
+A few fused ops (`matmul` with transposed operands, `affine`, `affine-tanh`
 for one tanh layer, `mse`, the n-ary `add` of `add_n`, the `sgd-step`
 update and the tanh and cosine VJPs) stand for chains of primitives: each
 computes the same float expression the chain did, in one node, and its
@@ -85,8 +88,10 @@ class Var:
 #: op kinds whose nodes terminate backpropagation
 _TERMINAL = ("leaf", "const")
 
-#: marker stored in `extra` for the zero gradients of unreached inputs
+#: markers stored in `extra`: the zero gradients of unreached inputs, and
+#: the ones a recording walk starts from
 _ZERO_GRAD = "zero-grad"
+_SEED = "seed"
 
 
 class Tape:
@@ -117,19 +122,36 @@ class Tape:
         """Like a leaf but excluded from gradient reports (data, masks)."""
         return self._append("const", (), np.asarray(values, dtype=np.float64))
 
-    def replay(self) -> list[np.ndarray]:
-        """Recompute every node value from the leaves, in index order.
+    def replay(self, inputs=None, stop=None, values=None) -> list[np.ndarray]:
+        """Recompute node values in index order from the leaves and constants.
+
+        `inputs` maps leaf or constant indices to arrays replayed in place of
+        the recorded values, each of its node's recorded shape.  Only nodes
+        below `stop` are computed; handing the returned list back as
+        `values` resumes the replay at the first node it lacks.
 
         Replaying is bitwise-deterministic: the same primitive sequence on
-        the same leaf values reproduces the recorded arrays exactly.
+        the same terminal values reproduces the recorded arrays exactly.
         """
-        values: list[np.ndarray] = []
-        for node in self.nodes:
-            if node.op in _TERMINAL:
-                values.append(node.array)
+        nodes = self.nodes
+        inputs = {} if inputs is None else inputs
+        for idx in inputs:
+            if not 0 <= idx < len(nodes) or nodes[idx].op not in _TERMINAL:
+                raise AutodiffError(f"replay: node {idx} is not a leaf or constant of the tape")
+        values = [] if values is None else values
+        append = values.append
+        for idx in range(len(values), len(nodes) if stop is None else stop):
+            node = nodes[idx]
+            if node.parents:
+                append(_FORWARD[node.op]([values[p] for p in node.parents], node.extra))
+            elif idx in inputs:
+                value = np.asarray(inputs[idx], dtype=np.float64)
+                if value.shape != node.array.shape:
+                    raise ShapeError(f"replay: node {idx} holds shape {node.array.shape}, "
+                                     f"got {value.shape}")
+                append(value)
             else:
-                fwd = _FORWARD[node.op]
-                values.append(fwd([values[p] for p in node.parents], node.extra))
+                append(node.array)
         return values
 
 
@@ -806,9 +828,10 @@ def _walk(output: Var, wanted: list, record: bool = True) -> dict:
 
     The walk stops at wanted nodes as well as at leaves and constants.  It
     builds an adjoint toward a parent only when the parent's leaf mask
-    meets the union of the wanted nodes' masks; when a wanted node depends
-    on no leaf, every adjoint is built.  It visits only the indices that
-    hold an adjoint, in strict descending order, so contributions arrive
+    meets the union of the wanted nodes' masks and holds every bit they all
+    share, as a node that depends on a wanted node does; when a wanted node
+    depends on no leaf, every adjoint is built.  It visits only the indices
+    that hold an adjoint, in strict descending order, so contributions arrive
     in a deterministic order independent of graph construction details;
     several contributions to one node are summed by one n-ary `add` node, in
     arrival order, when the walk reaches it.  Wanted nodes the walk never
@@ -823,20 +846,27 @@ def _walk(output: Var, wanted: list, record: bool = True) -> dict:
     nodes = tape.nodes
     ops = _TapeOps(tape) if record else _ArrayOps
     # np.array(1.0) is np.ones(()) at a fifth of the cost
-    seed = ops.constant(np.ones(output.shape) if output.shape else np.array(1.0))
+    seed = np.ones(output.shape) if output.shape else np.array(1.0)
+    if record:
+        seed = tape._append("const", (), seed, _SEED)
     wanted_set = set(wanted)
-    need = 0
+    need, common = 0, -1  # the union and the intersection of the wanted masks
     for idx in wanted_set:
-        if not nodes[idx].mask:
+        mask = nodes[idx].mask
+        if not mask:
             need = None
             break
-        need |= nodes[idx].mask
+        need |= mask
+        common &= mask
+    if need is None or not wanted_set:
+        common = 0
     found: dict[int, Var] = {}
     # index -> its one adjoint contribution, or the list of them; `pending`
     # is a max-heap (negated indices) of the keys, popped in descending order
     adjoint: dict = {}
     pending: list[int] = []
-    if need is None or nodes[output.index].mask & need:
+    out_mask = nodes[output.index].mask
+    if need is None or (out_mask & common == common if common else out_mask & need):
         adjoint[output.index] = seed
         pending.append(-output.index)
     while pending:
@@ -851,7 +881,12 @@ def _walk(output: Var, wanted: list, record: bool = True) -> dict:
         if node.op in _TERMINAL:
             continue
         parents = node.parents
-        flags = (True,) * len(parents) if need is None else [nodes[p].mask & need for p in parents]
+        if need is None:
+            flags = (True,) * len(parents)
+        elif common:
+            flags = [nodes[p].mask & common == common for p in parents]
+        else:
+            flags = [nodes[p].mask & need for p in parents]
         if record:
             out, ins = Var(tape, idx, node.array), [Var(tape, p, nodes[p].array) for p in parents]
         else:
@@ -913,6 +948,23 @@ def is_detached(v: Var) -> bool:
     """True when `v` carries no gradient path (leaf or constant node)."""
     node = v.tape.nodes[v.index]
     return node.op in _TERMINAL and node.extra != _ZERO_GRAD
+
+
+def check_replayable(tape: Tape, inputs) -> None:
+    """Raise AutodiffError unless replaying `tape` with new values at the
+    `inputs` indices recomputes every value that depends on them.
+
+    A replay reruns each node's op on its parents' replayed values, so the
+    rest of the graph must not hold values computed at recording time: no
+    `relu` node (its VJP records the sign mask as a constant), no
+    first-order `sgd-step` (it holds its gradient's value), and every other
+    constant is a walk's seed or a marked zero gradient.
+    """
+    inputs = set(inputs)
+    for idx, node in enumerate(tape.nodes):
+        if (node.op == "relu" or (node.op == "sgd-step" and node.extra[1] is not None)
+                or (node.op == "const" and idx not in inputs and node.extra not in (_SEED, _ZERO_GRAD))):
+            raise AutodiffError(f"node {idx} ({node.op}) holds a recorded value a replay cannot recompute")
 
 
 def grad_through_update(params, inner_grads, alpha=0.01, first_order=False, rates=None):

@@ -11,9 +11,16 @@ One meta-batch is recorded on a fresh tape in a fixed phase order:
 
 Phases B and C commute (the matrix reads base extractor features, never
 adapted ones); the order is fixed so trajectories survive refactors.
+They read each task's support set through one recorded constant.
 Task heads are re-initialized to zero at the start of every meta-batch
 by the training loop: head i belongs to batch slot i, and a fresh batch
 carries fresh tasks.
+
+Evaluation adapts a zero head on each task and scores its query set.
+`evaluate` records that adaptation once per support and query shape, with
+its inner gradients on the tape, and computes every further task by
+replaying the tape on the task's data: the same `_FORWARD` calls, and so
+the same bits, as adapting it on its own tape.
 """
 
 from __future__ import annotations
@@ -111,14 +118,16 @@ class MetaConfig:
 
 
 class AdaptedModel:
-    """Task-specialized parameters, still connected to the base leaves."""
+    """Task-specialized parameters, still connected to the base leaves, and
+    the support loss Var of each step that produced them."""
 
-    __slots__ = ("mv", "extractor", "head")
+    __slots__ = ("mv", "extractor", "head", "losses")
 
-    def __init__(self, mv: nn.ModelVars, extractor: list, head: list):
+    def __init__(self, mv: nn.ModelVars, extractor: list, head: list, losses: list):
         self.mv = mv
         self.extractor = extractor
         self.head = head
+        self.losses = losses
 
     def predict(self, x: ad.Var) -> ad.Var:
         feats = nn.forward_features_with(self.mv, self.extractor, x)
@@ -142,9 +151,9 @@ def _inner_rates(mv: nn.ModelVars, config: MetaConfig, head_only: bool):
     return [v for pair in (mv.rates[-1:] if head_only else mv.rates) for v in pair]
 
 
-def _adapt(mv: nn.ModelVars, head: list, support_x, support_y, config: MetaConfig,
+def _adapt(mv: nn.ModelVars, head: list, x: ad.Var, y: ad.Var, config: MetaConfig,
            steps: int, first_order: bool, label: str) -> AdaptedModel:
-    """`steps` gradient steps from the base extractor and `head` on one support set.
+    """`steps` gradient steps from the base extractor and `head` on the support set `x`, `y`.
 
     maml/metasgd adapt extractor and head; anil adapts the head only and
     reads the extractor frozen, so its support features are computed once.
@@ -154,9 +163,6 @@ def _adapt(mv: nn.ModelVars, head: list, support_x, support_y, config: MetaConfi
     and no gradient node is recorded.  `label` names the
     adaptation in the non-finite-loss error.
     """
-    tape = mv.tape
-    x = tape.constant(support_x)
-    y = tape.constant(support_y)
     head_only = config.method == "anil"
     frozen = mv.extractor_params() if head_only else []
     cur = list(head) if head_only else mv.extractor_params() + list(head)
@@ -164,24 +170,31 @@ def _adapt(mv: nn.ModelVars, head: list, support_x, support_y, config: MetaConfi
         feats = nn.forward_features_with(mv, frozen, x)
 
     rates = _inner_rates(mv, config, head_only)
+    losses = []
     for _ in range(steps):
         if not head_only:
             feats = nn.forward_features_with(mv, cur[:-2], x)
         loss = task_loss(nn.head_apply(cur[-2:], feats), y)
-        if not math.isfinite(loss.array):  # a scalar: np.isfinite costs a ufunc call
-            raise MetaLearnError(f"non-finite inner loss for {label}")
+        _check_inner_loss(loss.array, label)
+        losses.append(loss)
         cur = ad.grad_through_update(
             cur, ad.grad(loss, cur, record=not first_order), alpha=config.alpha,
             first_order=first_order, rates=rates,
         )
     adapted = frozen + cur
-    return AdaptedModel(mv, adapted[:-2], adapted[-2:])
+    return AdaptedModel(mv, adapted[:-2], adapted[-2:], losses)
+
+
+def _check_inner_loss(value, label: str) -> None:
+    if not math.isfinite(value):  # a scalar: np.isfinite costs a ufunc call
+        raise MetaLearnError(f"non-finite inner loss for {label}")
 
 
 def inner_adapt(mv: nn.ModelVars, i: int, metadata, config: MetaConfig) -> AdaptedModel:
     """`config.inner_steps` gradient steps of head i on task i's meta-data support set."""
-    return _adapt(mv, mv.head_params(i), metadata.support_x, metadata.support_y, config,
-                  config.inner_steps, not config.second_order, f"task {i}")
+    x, y = mv.constant(metadata.support_x), mv.constant(metadata.support_y)
+    return _adapt(mv, mv.head_params(i), x, y, config, config.inner_steps,
+                  not config.second_order, f"task {i}")
 
 
 def trlearner_loss(adapted_models: list, matrix: rel.RelationMatrix, i: int, x: ad.Var, y: ad.Var) -> ad.Var:
@@ -339,28 +352,76 @@ def outer_step(model: nn.MetaModel, layer, batch: tk.TaskBatch, config: MetaConf
 # Training and evaluation
 
 
-def adapted_query_mse(model: nn.MetaModel, task: tk.TaskInstance, config: MetaConfig) -> float:
+_EVAL_TASK = "an evaluation task"
+
+
+class _EvalGraph:
+    """One recorded evaluation adaptation, replayable on any task of its shapes.
+
+    The tape holds `_adapt` from a zero head with the inner gradients
+    recorded, then the query loss.  Those nodes make the `_FORWARD` calls
+    that the first-order values walk makes, so the recorded loss, and a
+    replay with another task's four data arrays in place of the recorded
+    ones, carry the bits that adapting that task on its own tape would.
+    """
+
+    __slots__ = ("tape", "inputs", "steps", "loss")
+
+    def __init__(self, model: nn.MetaModel, arrays: list, config: MetaConfig):
+        tape = ad.Tape()
+        d = model.feature_width
+        mv = nn.bind(model, tape, heads=[(np.zeros((d, 1)), np.zeros(1))])
+        sx, sy, qx, qy = (tape.constant(a) for a in arrays)
+        steps = config.inner_steps if config.eval_inner_steps is None else config.eval_inner_steps
+        adapted = _adapt(mv, mv.head_params(0), sx, sy, config, steps, False, _EVAL_TASK)
+        loss = task_loss(adapted.predict(qx), qy)
+        self.tape = tape
+        self.inputs = (sx.index, sy.index, qx.index, qy.index)
+        self.steps = [lv.index for lv in adapted.losses]
+        ad.check_replayable(tape, self.inputs)
+        self.loss = _query_loss(loss.array)
+
+    def replay(self, arrays: list) -> float:
+        """The query loss of the task with these four data arrays; each step's
+        support loss is checked as soon as it is computed, as `_adapt` does."""
+        inputs = dict(zip(self.inputs, arrays))
+        values = None
+        for idx in self.steps:
+            values = self.tape.replay(inputs, idx + 1, values)
+            _check_inner_loss(values[idx], _EVAL_TASK)
+        return _query_loss(self.tape.replay(inputs, None, values)[-1])
+
+
+def _query_loss(value) -> float:
+    loss = float(value)
+    if not math.isfinite(loss):
+        raise MetaLearnError(f"non-finite query loss for {_EVAL_TASK}")
+    return loss
+
+
+def adapted_query_mse(model: nn.MetaModel, task: tk.TaskInstance, config: MetaConfig,
+                      graphs: dict | None = None) -> float:
     """Adapt a fresh zero head on the task's support set, score its query set.
 
     Training heads belong to training batch slots, so evaluation always
     starts from a zero head (matching how heads begin every meta-batch),
     and the tape binds that head in their place: its leaves are the
     extractor, the inner rates and the zero head.  Updates here never flow
-    back, so the first-order graph suffices: the inner gradients are
-    values, and no node records them.
+    back, so the first-order values suffice; the graph records its inner
+    gradients only so that `graphs`, a memo of graphs by data shapes that
+    `evaluate` keeps for one call, can replay it for the next task of those
+    shapes.  Without it the loss is read off a fresh recording.
     """
-    tape = ad.Tape()
-    d = model.feature_width
-    mv = nn.bind(model, tape, heads=[(np.zeros((d, 1)), np.zeros(1))])
-    steps = config.inner_steps if config.eval_inner_steps is None else config.eval_inner_steps
-    adapted = _adapt(mv, mv.head_params(0), task.support_x, task.support_y, config, steps,
-                     True, "an evaluation task")
-    qx = tape.constant(task.query_x)
-    qy = tape.constant(task.query_y)
-    loss = float(task_loss(adapted.predict(qx), qy).array)
-    if not math.isfinite(loss):
-        raise MetaLearnError("non-finite query loss for an evaluation task")
-    return loss
+    arrays = [np.asarray(a, dtype=np.float64)
+              for a in (task.support_x, task.support_y, task.query_x, task.query_y)]
+    key = tuple(a.shape for a in arrays)
+    graph = None if graphs is None else graphs.get(key)
+    if graph is not None:
+        return graph.replay(arrays)
+    graph = _EvalGraph(model, arrays, config)
+    if graphs is not None:
+        graphs[key] = graph
+    return graph.loss
 
 
 def summarize(values: list) -> tuple:
@@ -383,10 +444,15 @@ def summarize(values: list) -> tuple:
 
 
 def evaluate(model: nn.MetaModel, eval_tasks: list, config: MetaConfig) -> dict:
-    """Per-task adapted query MSE and its mean."""
+    """Per-task adapted query MSE and its mean.
+
+    Each task is one `adapted_query_mse` call; the calls share one recorded
+    graph per support and query shape, replayed on each task's data.
+    """
     if not eval_tasks:
         raise MetaLearnError("no evaluation tasks given")
-    per_task = [adapted_query_mse(model, t, config) for t in eval_tasks]
+    graphs = {}
+    per_task = [adapted_query_mse(model, t, config, graphs) for t in eval_tasks]
     return {"mean": summarize(per_task)[0], "per_task": per_task}
 
 

@@ -1039,7 +1039,8 @@ class TestPrunedWalk:
         tape = ad.Tape()
         mv = nn.bind(model, tape)
         head = [tape.leaf(np.zeros((8, 1))), tape.leaf(np.zeros(1))]
-        ml._adapt(mv, head, task.support_x, task.support_y, config, 7, True, "an evaluation task")
+        x, y = tape.constant(task.support_x), tape.constant(task.support_y)
+        ml._adapt(mv, head, x, y, config, 7, True, "an evaluation task")
         ops = [n.op for n in tape.nodes]
         assert len(calls) == 1 and ops.count("affine-tanh") == 2
         # first order: the inner gradients are computed, not recorded
@@ -1047,6 +1048,24 @@ class TestPrunedWalk:
         assert "tanh-grad" not in {kind for kind, _, _ in computed}
         # the only matmuls are the head-weight gradients features^T @ g
         assert {extra for kind, extra, _ in computed if kind == "matmul"} == {(True, False)}
+
+    def test_shared_leaves_of_the_wanted_nodes_prune_a_frozen_branch(self):
+        # a recorded second step of head-only adaptation: each updated head
+        # depends on the frozen `a` through its gradient, but the features
+        # carry a's bit only, so no VJP is recorded toward them
+        tape = ad.Tape()
+        a, w = tape.leaf([[0.5, -1.0]]), tape.leaf([[0.3], [0.2]])
+        x, y = tape.constant([[1.0], [2.0]]), tape.constant([[1.0], [-1.0]])
+        feats = ad.tanh(ad.matmul(x, a))
+        (g,) = ad.grad(ad.mse(ad.matmul(feats, w), y), [w])
+        (w1,) = ad.grad_through_update([w], [g], alpha=0.1)
+        loss = ad.mse(ad.matmul(feats, w1), y)
+        before = len(tape)
+        (g1,) = ad.grad(loss, [w1])
+        assert set(range(before, len(tape))) <= _ancestors(tape, [g1.index])
+        assert "tanh-grad" not in [n.op for n in tape.nodes[before:]]
+        (want,) = ad.grad(loss, [w1], record=False)
+        assert g1.array.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -1184,3 +1203,86 @@ class TestValuesWalk:
             got = ad.grad(out, [vs[p % len(vs)] for p in picks], record=False)
             want = ad.grad(twin_out, [twin_vs[p % len(vs)] for p in picks])
         assert_values_agree(tape, before, got, twin, want)
+
+
+# ---------------------------------------------------------------------------
+# replay with substituted leaves and constants
+
+
+def two_step_adaptation(x_arr, y_arr):
+    """Two recorded inner steps of a tanh MLP on the constants x, y, then the
+    loss at the adapted parameters; returns (tape, x, y, step losses, loss)."""
+    tape = ad.Tape()
+    rng = np.random.default_rng(2)
+    params = [tape.leaf(rng.normal(size=s)) for s in [(1, 6), (6,), (6, 1), (1,)]]
+    x, y = tape.constant(x_arr), tape.constant(y_arr)
+    losses = []
+    for _ in range(2):
+        pred = ad.affine(ad.affine_tanh(x, params[0], params[1]), params[2], params[3])
+        losses.append(ad.mse(pred, y))
+        params = ad.grad_through_update(params, ad.grad(losses[-1], params), alpha=0.3)
+    pred = ad.affine(ad.affine_tanh(x, params[0], params[1]), params[2], params[3])
+    return tape, x, y, losses, ad.mse(pred, y)
+
+
+class TestReplay:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), stop=st.integers(0, 200))
+    def test_substituted_inputs_replay_a_fresh_recording(self, seed, stop):
+        rng = np.random.default_rng(seed)
+        first = [signed_uniform(rng, (5, 1)) * 3.0 for _ in range(2)]
+        second = [signed_uniform(rng, (5, 1)) * 3.0 for _ in range(2)]
+        tape, x, y, losses, _ = two_step_adaptation(*first)
+        fresh = two_step_adaptation(*second)[0]
+        inputs = {x.index: second[0], y.index: second[1]}
+        ad.check_replayable(tape, inputs)
+        assert len(fresh) == len(tape)
+        want = [n.array.tobytes() for n in fresh.nodes]
+        assert [v.tobytes() for v in tape.replay(inputs)] == want
+        # a stop partway, then the rest
+        stop = min(stop, len(tape))
+        part = tape.replay(inputs, stop)
+        assert [v.tobytes() for v in part] == want[:stop]
+        assert [v.tobytes() for v in tape.replay(inputs, None, part)] == want
+        # stopping right after each step loss, as an evaluation does
+        values = None
+        for lv in losses:
+            values = tape.replay(inputs, lv.index + 1, values)
+            assert len(values) == lv.index + 1
+            assert values[lv.index].tobytes() == fresh.nodes[lv.index].array.tobytes()
+
+    def test_rejects_non_terminal_indices_and_wrong_shapes(self):
+        tape, x, y, losses, loss = two_step_adaptation(np.ones((5, 1)), np.zeros((5, 1)))
+        for idx in (loss.index, losses[0].index, len(tape), -1):
+            with pytest.raises(ad.AutodiffError, match="not a leaf or constant"):
+                tape.replay({idx: np.ones(())})
+        with pytest.raises(ad.ShapeError, match=r"\(5, 1\)"):
+            tape.replay({x.index: np.ones((4, 1))})
+        with pytest.raises(ad.ShapeError):
+            tape.replay({y.index: np.ones(5)})
+        # a leaf may be substituted too; the recorded tape is left as it was
+        got = tape.replay({tape.leaves[0]: np.zeros((1, 6))})
+        assert not np.array_equal(got[loss.index], loss.array)
+        assert [v.tobytes() for v in tape.replay()] == [n.array.tobytes() for n in tape.nodes]
+
+    def test_no_argument_replay_returns_the_recorded_values(self):
+        tape, *_ = two_step_adaptation(np.ones((5, 1)), np.zeros((5, 1)))
+        for got in (tape.replay(), tape.replay({}), tape.replay(None, None, [])):
+            assert len(got) == len(tape)
+            assert all(a.tobytes() == n.array.tobytes() for a, n in zip(got, tape.nodes))
+
+    def test_graphs_holding_recorded_values_are_not_replayable(self):
+        tape, x, y, _, _ = two_step_adaptation(np.ones((5, 1)), np.zeros((5, 1)))
+        ad.check_replayable(tape, [x.index, y.index])
+        with pytest.raises(ad.AutodiffError, match=f"node {y.index} \\(const\\)"):
+            ad.check_replayable(tape, [x.index])  # y stays a recorded data array
+        for build in (
+            lambda t, v: ad.relu(v),
+            lambda t, v: ad.detach(ad.sin(v)),
+            lambda t, v: ad.grad_through_update([v], [np.ones(2)], first_order=True)[0],
+        ):
+            t = ad.Tape()
+            v = t.leaf([1.0, -1.0])
+            build(t, v)
+            with pytest.raises(ad.AutodiffError, match="a replay cannot recompute"):
+                ad.check_replayable(t, [])

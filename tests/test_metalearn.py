@@ -384,6 +384,21 @@ class TestOuterStep:
         for md in batch.metadata:
             assert [sum(a is arr for a in consts) for arr in (md.query_x, md.query_y)] == [1, 1]
 
+    @pytest.mark.parametrize("family", ["sinusoid", "harmonic"])
+    def test_support_sets_recorded_once_per_task(self, family):
+        # the representation and the adaptation share one constant and, on
+        # a scaled family, one input-scale product per support set
+        config = small_config(inner_steps=2)
+        model = nn.init_model([1, 8], 3, 0, input_scale=tk.INPUT_SCALES[family])
+        layer = rel.SimilarityLayer(config.sim_heads, model.feature_width)
+        batch = first_batch(tk.TaskSource(family, 5, 5, seed=0), config)
+        tape = ml._record_batch(model, layer, batch, config)[2].tape
+        consts = [node.array for node in tape.nodes if node.op == "const"]
+        for md in batch.metadata:
+            assert [sum(a is arr for a in consts) for arr in (md.support_x, md.support_y)] == [1, 1]
+        scaled = [n for n in tape.nodes if n.op == "scalar-mul" and tape.nodes[n.parents[0]].op == "const"]
+        assert len(scaled) == (0 if family == "sinusoid" else 2 * len(batch))  # support and query x
+
     @pytest.mark.parametrize("trlearner", [False, True])
     @pytest.mark.parametrize("matrix_mode", ml.MATRIX_MODES)
     @pytest.mark.parametrize("method", ml.METHODS)
@@ -404,7 +419,7 @@ class TestTapeLifetime:
     """Nothing on a tape refers back to it, so refcounting frees it on return."""
 
     @pytest.mark.parametrize("method", ["maml", "anil", "metasgd"])
-    @pytest.mark.parametrize("call", ["outer_step", "adapted_query_mse"])
+    @pytest.mark.parametrize("call", ["outer_step", "adapted_query_mse", "evaluate"])
     def test_tape_dies_when_the_call_returns(self, call, method, monkeypatch):
         refs = []
 
@@ -422,8 +437,10 @@ class TestTapeLifetime:
         try:
             if call == "outer_step":
                 ml.outer_step(model, layer, batch, config, opt)
-            else:
+            elif call == "adapted_query_mse":
                 ml.adapted_query_mse(model, source.eval_task(0), config)
+            else:  # one recording for three tasks of one shape
+                ml.evaluate(model, [source.eval_task(t) for t in range(3)], config)
             assert len(refs) == 1 and refs[0]() is None
         finally:
             gc.enable()
@@ -533,8 +550,9 @@ class TestEvaluate:
     @pytest.mark.parametrize("family", ["sinusoid", "harmonic"])
     @pytest.mark.parametrize("method", ml.METHODS)
     def test_evaluation_tape_holds_only_read_nodes(self, method, family, monkeypatch):
-        # a 16-head model: no training head is bound, no gradient is a node,
-        # and every node but the step losses and the output feeds a later one
+        # a 16-head model: no training head is bound, and every node but the
+        # step losses and the output feeds a later one (the recorded inner
+        # gradients feed the updates; none is built toward the frozen extractor)
         config = small_config(method=method, batch_tasks=16, hidden=(40, 40), eval_inner_steps=7)
         model = nn.init_model([1, 40, 40], 16, seed=0, input_scale=tk.INPUT_SCALES[family])
         if method == "metasgd":
@@ -563,7 +581,7 @@ class TestEvaluate:
         # np.mean overflows on these; log.jsonl would get a non-JSON Infinity
         huge = [1.5e308, 1.2e308, 0.9e308]
         losses = iter(huge)
-        monkeypatch.setattr(ml, "adapted_query_mse", lambda model, task, config: next(losses))
+        monkeypatch.setattr(ml, "adapted_query_mse", lambda model, task, config, graphs: next(losses))
         config = small_config()
         model, _, _ = build(config)
         with np.errstate(over="ignore"):
@@ -571,6 +589,95 @@ class TestEvaluate:
         out = ml.evaluate(model, [None] * 3, config)
         assert out["mean"] == ml.summarize(huge)[0] == pytest.approx(1.2e308, rel=1e-15)
         json.dumps(out, allow_nan=False)
+
+
+def first_order_query_mse(model, task, config):
+    """An evaluation adaptation on its own tape, with first-order inner gradients."""
+    tape = ad.Tape()
+    d = model.feature_width
+    mv = nn.bind(model, tape, heads=[(np.zeros((d, 1)), np.zeros(1))])
+    steps = config.inner_steps if config.eval_inner_steps is None else config.eval_inner_steps
+    x, y = tape.constant(task.support_x), tape.constant(task.support_y)
+    adapted = ml._adapt(mv, mv.head_params(0), x, y, config, steps, True, "an evaluation task")
+    qx, qy = tape.constant(task.query_x), tape.constant(task.query_y)
+    loss = float(ml.task_loss(adapted.predict(qx), qy).array)
+    if not np.isfinite(loss):
+        raise ml.MetaLearnError("non-finite query loss for an evaluation task")
+    return loss
+
+
+def eval_model(method, family, seed, alpha=0.05, hidden=(8, 8)):
+    """A model with random extractor biases and, for metasgd, random inner rates."""
+    rng = np.random.default_rng(seed)
+    model = nn.init_model([1, *hidden], 2, seed, input_scale=tk.INPUT_SCALES[family])
+    for _, b in model.extractor:
+        b[:] = rng.normal(0.0, 0.3, size=b.shape)
+    if method == "metasgd":
+        model.enable_inner_rates(alpha)
+        for pair in model.inner_rates["extractor"] + [model.inner_rates["head"]]:
+            for arr in pair:
+                arr *= rng.uniform(0.5, 1.5, size=arr.shape)
+    return model
+
+
+class TestReplayedEvaluation:
+    """`evaluate` records one adaptation per data shape and replays it per task."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(method=st.sampled_from(ml.METHODS), family=st.sampled_from(["sinusoid", "harmonic"]),
+           steps=st.sampled_from([0, 1, 7]), seed=st.integers(0, 2**16), n_tasks=st.integers(1, 4))
+    def test_per_task_losses_are_bitwise_the_first_order_path(self, method, family, steps, seed, n_tasks):
+        config = small_config(method=method, eval_inner_steps=steps, alpha=0.05)
+        model = eval_model(method, family, seed)
+        source = tk.TaskSource(family, 6, 9, seed=seed)
+        tasks = [source.eval_task(t) for t in range(n_tasks)]
+        got = ml.evaluate(model, tasks, config)["per_task"]
+        want = [first_order_query_mse(model, t, config) for t in tasks]
+        assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
+        assert [float(ml.adapted_query_mse(model, t, config)).hex() for t in tasks] == [v.hex() for v in want]
+
+    @pytest.mark.parametrize("steps, message", [(3, "non-finite inner loss"), (1, "non-finite query loss")])
+    def test_a_diverging_task_raises_at_the_same_step(self, steps, message, monkeypatch):
+        # the recorded first task stays at its zero loss; the replayed second one
+        # diverges: at step 2 of 3, or (one step) in its query loss
+        config = ml.MetaConfig(alpha=1e10, trlearner=False, eval_inner_steps=steps, hidden=(8,))
+        model = nn.init_model([1, 8], 2, 0)
+        x = np.linspace(-1.0, 1.0, 4)
+        calm = tk.TaskInstance("sinusoid", {}, 0.0, x, np.zeros(4), x + 0.1, np.zeros(4))
+        wild = tk.TaskInstance("sinusoid", {}, 0.0, x, [1e150, -1e150, 1e150, -1e150], x, np.zeros(4))
+        losses = []
+        mse = ad._FORWARD["mse"]
+        monkeypatch.setitem(ad._FORWARD, "mse", lambda xs, e: losses.append(mse(xs, e)) or losses[-1])
+        runs = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            for run in (lambda: ml.evaluate(model, [calm, wild], config),
+                        lambda: [first_order_query_mse(model, t, config) for t in (calm, wild)]):
+                losses.clear()
+                with pytest.raises(ml.MetaLearnError, match=f"{message} for an evaluation task"):
+                    run()
+                runs.append([float(v).hex() for v in losses])
+        replayed, alone = runs
+        # the calm task's steps + 1 losses, then the wild one's first two
+        assert replayed == alone and len(alone) == steps + 3
+        assert not np.isfinite(float.fromhex(alone[-1])) and np.isfinite(float.fromhex(alone[-2]))
+
+    def test_each_support_and_query_size_gets_its_own_recording(self, monkeypatch):
+        tapes = []
+
+        class TrackedTape(ad.Tape):
+            def __init__(self):
+                super().__init__()
+                tapes.append(self)
+
+        config = small_config(eval_inner_steps=2)
+        model = eval_model("maml", "sinusoid", 3)
+        sizes = [(10, 15), (10, 15), (5, 15), (10, 7), (5, 15), (10, 15)]
+        tasks = [tk.TaskSource("sinusoid", k, q, seed=4).eval_task(t) for t, (k, q) in enumerate(sizes)]
+        monkeypatch.setattr(ad, "Tape", TrackedTape)
+        got = ml.evaluate(model, tasks, config)["per_task"]
+        assert len(tapes) == 3
+        monkeypatch.undo()
+        assert got == [first_order_query_mse(model, t, config) for t in tasks]
 
 
 class TestTrain:
