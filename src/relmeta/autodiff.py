@@ -7,7 +7,9 @@ or a constant is recorded by `_record`, which takes the node's value from
 the op's `_FORWARD` entry, the same function `Tape.replay` calls.  A
 replay given new arrays for some leaves and constants reruns the recorded
 graph on them, bit for bit what recording it afresh would compute, when
-:func:`check_replayable` accepts the graph.
+:func:`check_replayable` accepts the graph.  :class:`BatchedReplay` runs
+that replay for a stack of tasks at once, one `_FORWARD` call per node for
+the whole stack, and gives each task the bits of its own replay.
 
 Each op's vector-Jacobian product is written once, against the op set it
 is handed.  :func:`grad` records it, so the gradients it returns are tape
@@ -122,26 +124,21 @@ class Tape:
         """Like a leaf but excluded from gradient reports (data, masks)."""
         return self._append("const", (), np.asarray(values, dtype=np.float64))
 
-    def replay(self, inputs=None, stop=None, values=None) -> list[np.ndarray]:
+    def replay(self, inputs=None) -> list[np.ndarray]:
         """Recompute node values in index order from the leaves and constants.
 
         `inputs` maps leaf or constant indices to arrays replayed in place of
-        the recorded values, each of its node's recorded shape.  Only nodes
-        below `stop` are computed; handing the returned list back as
-        `values` resumes the replay at the first node it lacks.
+        the recorded values, each of its node's recorded shape.
 
         Replaying is bitwise-deterministic: the same primitive sequence on
         the same terminal values reproduces the recorded arrays exactly.
         """
         nodes = self.nodes
         inputs = {} if inputs is None else inputs
-        for idx in inputs:
-            if not 0 <= idx < len(nodes) or nodes[idx].op not in _TERMINAL:
-                raise AutodiffError(f"replay: node {idx} is not a leaf or constant of the tape")
-        values = [] if values is None else values
+        _check_inputs(nodes, inputs)
+        values = []
         append = values.append
-        for idx in range(len(values), len(nodes) if stop is None else stop):
-            node = nodes[idx]
+        for idx, node in enumerate(nodes):
             if node.parents:
                 append(_FORWARD[node.op]([values[p] for p in node.parents], node.extra))
             elif idx in inputs:
@@ -153,6 +150,12 @@ class Tape:
             else:
                 append(node.array)
         return values
+
+
+def _check_inputs(nodes: list, inputs) -> None:
+    for idx in inputs:
+        if not 0 <= idx < len(nodes) or nodes[idx].op not in _TERMINAL:
+            raise AutodiffError(f"replay: node {idx} is not a leaf or constant of the tape")
 
 
 def _same_tape(op: str, vars_: tuple) -> Tape:
@@ -196,12 +199,14 @@ def _f_sadd(xs, c):
 
 
 def _f_matmul(xs, extra):
+    # the last two axes, so that a stack of tasks (see BatchedReplay) swaps
+    # each task's matrix; for 2-D operands that is `.T`
     a, b = xs
     ta, tb = extra
     if ta:
-        a = np.ascontiguousarray(a.T)
+        a = np.ascontiguousarray(a.swapaxes(-1, -2))
     if tb:
-        b = np.ascontiguousarray(b.T)
+        b = np.ascontiguousarray(b.swapaxes(-1, -2))
     return a @ b
 
 
@@ -236,7 +241,7 @@ def _f_tanh_grad(xs, _):
 
 
 def _f_transpose(xs, _):
-    return np.ascontiguousarray(xs[0].T)
+    return np.ascontiguousarray(xs[0].swapaxes(-1, -2))
 
 
 def _f_reshape(xs, shape):
@@ -965,6 +970,122 @@ def check_replayable(tape: Tape, inputs) -> None:
         if (node.op == "relu" or (node.op == "sgd-step" and node.extra[1] is not None)
                 or (node.op == "const" and idx not in inputs and node.extra not in (_SEED, _ZERO_GRAD))):
             raise AutodiffError(f"node {idx} ({node.op}) holds a recorded value a replay cannot recompute")
+
+
+#: ops whose `_FORWARD` entry is elementwise, or a product over the last two
+#: axes, and so computes a stack of tasks as it computes one task
+_BROADCASTING = frozenset((
+    "add", "sub", "elementwise-mul", "div", "scalar-mul", "scalar-add", "matmul", "affine",
+    "affine-tanh", "mse-grad", "tanh-grad", "transpose", "tanh", "sin", "cos", "square",
+    "rsqrt", "sgd-step",
+))
+
+
+def _stacked(shape: tuple) -> tuple:
+    """The layout of a node of shape `shape` in a batched replay: the task
+    axis, then the shape padded to two axes, so that a stacked bias or
+    scalar broadcasts against a stacked matrix as the unstacked ones do."""
+    return (-1,) + (1,) * (2 - len(shape)) + shape
+
+
+def _b_reduce(xs, extra):
+    # sum, or mean with its count; for sum the count is None
+    axes, count, shape = extra
+    total = np.add.reduce(xs[0], axis=axes)
+    return (total if count is None else total / count).reshape(shape)
+
+
+def _b_mse(xs, size):
+    return (np.add.reduce(np.square(xs[0] - xs[1]), axis=(1, 2)) / size).reshape(-1, 1, 1)
+
+
+def _batched_op(idx: int, nodes: list):
+    """(function, extra) computing node `idx` on stacks: its `_FORWARD`
+    entry, or for a reduction the same reduction over the axes past the task
+    axis, its result laid out as `_stacked` says."""
+    node = nodes[idx]
+    if node.op in _BROADCASTING:
+        return _FORWARD[node.op], node.extra
+    if node.op == "mse":
+        return _b_mse, nodes[node.parents[0]].array.size
+    if node.op in ("sum", "mean"):
+        axis, in_shape = node.extra
+        offset = 3 - len(in_shape)
+        axes = (1, 2) if axis is None else tuple(a + offset for a in axis)
+        count = _count(axis, in_shape) if node.op == "mean" else None
+        return _b_reduce, (axes, count, _stacked(node.array.shape))
+    raise AutodiffError(f"node {idx} ({node.op}) has no batched replay")
+
+
+class BatchedReplay:
+    """A tape replayed on a stack of T tasks at once.
+
+    `inputs` are leaf or constant indices; a call hands each one a stack of
+    T arrays, (T,) + its node's shape.  Every node that depends on an input
+    and that an output reads is computed once for the whole stack by its
+    `_FORWARD` entry (a reduction sums over the axes past the task axis),
+    so each task's slice holds the bits `Tape.replay` computes for that
+    task alone: elementwise ops and matrix products work slice by slice.
+    Nodes that depend on no input keep their recorded values.  Each stacked
+    value is dropped after its last reader, so a call keeps alive only the
+    values still to be read and the stacks at `outputs`, which it returns
+    as (T,) + node shape; every output must depend on an input.
+
+    `width` is the largest per-task size of a stacked node, in floats: a
+    stack of T tasks holds at most T·width floats in one value.
+    """
+
+    __slots__ = ("inputs", "outputs", "values", "steps", "width")
+
+    def __init__(self, tape: Tape, inputs, outputs):
+        nodes = tape.nodes
+        self.inputs = tuple(inputs)
+        self.outputs = tuple(outputs)
+        _check_inputs(nodes, self.inputs)
+        check_replayable(tape, self.inputs)
+        read = set(self.outputs)  # the nodes an output reads, directly or not
+        for idx in range(max(self.outputs, default=-1), -1, -1):
+            if idx in read:
+                read.update(nodes[idx].parents)
+        stacked = set(self.inputs)
+        steps, last = [], {}
+        for idx, node in enumerate(nodes):
+            if idx not in read or not any(p in stacked for p in node.parents):
+                continue
+            if node.array.ndim > 2:
+                raise AutodiffError(f"node {idx} ({node.op}) has more than two axes")
+            stacked.add(idx)
+            for p in node.parents:
+                last[p] = len(steps)
+            steps.append((idx, *_batched_op(idx, nodes), node.parents, []))
+        for idx in self.outputs:
+            if idx not in stacked:
+                raise AutodiffError(f"replay: output node {idx} depends on no input")
+        for p, step in last.items():
+            if p in stacked and p not in self.outputs:
+                steps[step][4].append(p)
+        self.values = [node.array for node in nodes]
+        self.steps = steps
+        self.width = max(nodes[idx].array.size for idx in stacked)
+
+    def __call__(self, stacks) -> list[np.ndarray]:
+        if len(stacks) != len(self.inputs):
+            raise AutodiffError(f"replay: {len(self.inputs)} input stacks expected, got {len(stacks)}")
+        values = list(self.values)
+        tasks = None
+        for idx, stack in zip(self.inputs, stacks):
+            shape = values[idx].shape
+            stack = np.asarray(stack, dtype=np.float64)
+            if tasks is None:
+                tasks = stack.shape[0] if stack.ndim else -1
+            if stack.shape != (tasks,) + shape:
+                raise ShapeError(f"replay: node {idx} holds shape {shape}, got a stack of {stack.shape}")
+            values[idx] = stack.reshape(_stacked(shape))
+        for idx, fn, extra, parents, dead in self.steps:
+            values[idx] = fn([values[p] for p in parents], extra)
+            for p in dead:
+                values[p] = None
+        return [values[idx].reshape((tasks,) + self.values[idx].shape) for idx in self.outputs]
 
 
 def grad_through_update(params, inner_grads, alpha=0.01, first_order=False, rates=None):

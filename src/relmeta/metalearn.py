@@ -18,15 +18,18 @@ carries fresh tasks.
 
 Evaluation adapts a zero head on each task and scores its query set.
 `evaluate` records that adaptation once per support and query shape, with
-its inner gradients on the tape, and computes every further task by
-replaying the tape on the task's data: the same `_FORWARD` calls, and so
-the same bits, as adapting it on its own tape.
+its inner gradients on the tape, and computes its tasks a chunk at a time
+by one batched replay of the tape on the chunk's data, stacked on a task
+axis: the same `_FORWARD` calls, and so the same bits, as adapting each
+task on its own tape.  A lone `adapted_query_mse` call adapts with
+first-order values and records no gradient.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -175,7 +178,8 @@ def _adapt(mv: nn.ModelVars, head: list, x: ad.Var, y: ad.Var, config: MetaConfi
         if not head_only:
             feats = nn.forward_features_with(mv, cur[:-2], x)
         loss = task_loss(nn.head_apply(cur[-2:], feats), y)
-        _check_inner_loss(loss.array, label)
+        if not math.isfinite(loss.array):  # a scalar: np.isfinite costs a ufunc call
+            raise MetaLearnError(f"non-finite inner loss for {label}")
         losses.append(loss)
         cur = ad.grad_through_update(
             cur, ad.grad(loss, cur, record=not first_order), alpha=config.alpha,
@@ -183,11 +187,6 @@ def _adapt(mv: nn.ModelVars, head: list, x: ad.Var, y: ad.Var, config: MetaConfi
         )
     adapted = frozen + cur
     return AdaptedModel(mv, adapted[:-2], adapted[-2:], losses)
-
-
-def _check_inner_loss(value, label: str) -> None:
-    if not math.isfinite(value):  # a scalar: np.isfinite costs a ufunc call
-        raise MetaLearnError(f"non-finite inner loss for {label}")
 
 
 def inner_adapt(mv: nn.ModelVars, i: int, metadata, config: MetaConfig) -> AdaptedModel:
@@ -354,74 +353,112 @@ def outer_step(model: nn.MetaModel, layer, batch: tk.TaskBatch, config: MetaConf
 
 _EVAL_TASK = "an evaluation task"
 
+#: floats one stacked value of a batched evaluation replay may hold: a chunk
+#: of tasks is this budget over the graph's largest per-task node
+_CHUNK_FLOATS = 12800
 
-class _EvalGraph:
-    """One recorded evaluation adaptation, replayable on any task of its shapes.
 
-    The tape holds `_adapt` from a zero head with the inner gradients
-    recorded, then the query loss.  Those nodes make the `_FORWARD` calls
-    that the first-order values walk makes, so the recorded loss, and a
-    replay with another task's four data arrays in place of the recorded
-    ones, carry the bits that adapting that task on its own tape would.
+def _record_eval(model: nn.MetaModel, arrays: list, config: MetaConfig, first_order: bool):
+    """`_adapt` from a zero head on the support set, then the query loss, on a
+    fresh tape; returns the four data constants, the step losses and the loss.
+
+    Its leaves are the extractor, the inner rates and the zero head: the
+    tape binds that head in place of the training heads, which belong to
+    training batch slots."""
+    tape = ad.Tape()
+    d = model.feature_width
+    mv = nn.bind(model, tape, heads=[(np.zeros((d, 1)), np.zeros(1))])
+    data = [tape.constant(a) for a in arrays]
+    steps = config.inner_steps if config.eval_inner_steps is None else config.eval_inner_steps
+    adapted = _adapt(mv, mv.head_params(0), data[0], data[1], config, steps, first_order, _EVAL_TASK)
+    return data, adapted.losses, task_loss(adapted.predict(data[2]), data[3])
+
+
+def _eval_replay(model: nn.MetaModel, shapes: tuple, config: MetaConfig) -> ad.BatchedReplay:
+    """The evaluation adaptation for tasks of these data shapes, recorded on
+    zero data with its inner gradients on the tape, as a batched replay of
+    the four data constants to the step losses and the query loss.  The
+    recorded nodes make the `_FORWARD` calls that the first-order values
+    walk makes, so each task's slice of a replay carries the bits that
+    adapting that task on its own tape would."""
+    data, steps, loss = _record_eval(model, [np.zeros(s) for s in shapes], config, False)
+    return ad.BatchedReplay(data[0].tape, [v.index for v in data], [v.index for v in steps + [loss]])
+
+
+class _EvalChunks:
+    """The tasks of one `evaluate` call, adapted a chunk at a time.
+
+    The call for a task whose loss is not yet known replays its shape's
+    recorded adaptation on it and on the next tasks of that shape, in task
+    order: as many as `_CHUNK_FLOATS` over the replay's largest per-task
+    node.  Each task's outcome is its query loss, or the error adapting it
+    alone raises, the first of a non-finite step loss and a non-finite
+    query loss; its own call returns or raises it.  A diverging task leaves
+    the others' bits alone, and numpy warns of none.  Task data is read as
+    the scan for a chunk reaches it.
     """
 
-    __slots__ = ("tape", "inputs", "steps", "loss")
+    __slots__ = ("tasks", "arrays", "replays", "outcomes", "next")
 
-    def __init__(self, model: nn.MetaModel, arrays: list, config: MetaConfig):
-        tape = ad.Tape()
-        d = model.feature_width
-        mv = nn.bind(model, tape, heads=[(np.zeros((d, 1)), np.zeros(1))])
-        sx, sy, qx, qy = (tape.constant(a) for a in arrays)
-        steps = config.inner_steps if config.eval_inner_steps is None else config.eval_inner_steps
-        adapted = _adapt(mv, mv.head_params(0), sx, sy, config, steps, False, _EVAL_TASK)
-        loss = task_loss(adapted.predict(qx), qy)
-        self.tape = tape
-        self.inputs = (sx.index, sy.index, qx.index, qy.index)
-        self.steps = [lv.index for lv in adapted.losses]
-        ad.check_replayable(tape, self.inputs)
-        self.loss = _query_loss(loss.array)
+    def __init__(self, tasks: list):
+        self.tasks = tasks
+        self.arrays = []  # the four float arrays of each task scanned so far
+        self.replays = {}  # data shapes -> their _eval_replay
+        self.outcomes = {}  # task position -> query loss or error message
+        self.next = 0
 
-    def replay(self, arrays: list) -> float:
-        """The query loss of the task with these four data arrays; each step's
-        support loss is checked as soon as it is computed, as `_adapt` does."""
-        inputs = dict(zip(self.inputs, arrays))
-        values = None
-        for idx in self.steps:
-            values = self.tape.replay(inputs, idx + 1, values)
-            _check_inner_loss(values[idx], _EVAL_TASK)
-        return _query_loss(self.tape.replay(inputs, None, values)[-1])
+    def loss(self, model: nn.MetaModel, task, config: MetaConfig) -> float:
+        i = self.next
+        if i >= len(self.tasks) or task is not self.tasks[i]:
+            raise MetaLearnError("evaluation tasks are adapted once each, in order")
+        self.next += 1
+        if i not in self.outcomes:
+            self._replay_chunk(model, config, i)
+        out = self.outcomes.pop(i)
+        if isinstance(out, str):
+            raise MetaLearnError(out)
+        return out
 
+    def _shapes(self, j: int) -> tuple:
+        while len(self.arrays) <= j:
+            t = self.tasks[len(self.arrays)]
+            self.arrays.append([np.asarray(a, dtype=np.float64)
+                                for a in (t.support_x, t.support_y, t.query_x, t.query_y)])
+        return tuple(a.shape for a in self.arrays[j])
 
-def _query_loss(value) -> float:
-    loss = float(value)
-    if not math.isfinite(loss):
-        raise MetaLearnError(f"non-finite query loss for {_EVAL_TASK}")
-    return loss
+    def _replay_chunk(self, model: nn.MetaModel, config: MetaConfig, i: int) -> None:
+        shapes = self._shapes(i)
+        replay = self.replays.get(shapes)
+        if replay is None:
+            replay = self.replays[shapes] = _eval_replay(model, shapes, config)
+        size = max(1, _CHUNK_FLOATS // replay.width)
+        chunk = list(islice((j for j in range(i, len(self.tasks)) if self._shapes(j) == shapes), size))
+        with np.errstate(over="ignore", invalid="ignore"):
+            *steps, query = replay([np.stack(data) for data in zip(*(self.arrays[j] for j in chunk))])
+            inner = np.isfinite(np.stack(steps)).all(axis=0) if steps else np.ones(len(chunk), bool)
+        for j, ok, q in zip(chunk, inner.tolist(), query.tolist()):
+            self.outcomes[j] = (q if ok and math.isfinite(q) else
+                                f"non-finite {'query' if ok else 'inner'} loss for {_EVAL_TASK}")
 
 
 def adapted_query_mse(model: nn.MetaModel, task: tk.TaskInstance, config: MetaConfig,
-                      graphs: dict | None = None) -> float:
+                      chunks: _EvalChunks | None = None) -> float:
     """Adapt a fresh zero head on the task's support set, score its query set.
 
     Training heads belong to training batch slots, so evaluation always
-    starts from a zero head (matching how heads begin every meta-batch),
-    and the tape binds that head in their place: its leaves are the
-    extractor, the inner rates and the zero head.  Updates here never flow
-    back, so the first-order values suffice; the graph records its inner
-    gradients only so that `graphs`, a memo of graphs by data shapes that
-    `evaluate` keeps for one call, can replay it for the next task of those
-    shapes.  Without it the loss is read off a fresh recording.
+    starts from a zero head (matching how heads begin every meta-batch).
+    Updates here never flow back, so the first-order values suffice: alone,
+    the call records the adaptation with its inner gradients computed as
+    bare arrays.  Within `evaluate`, `chunks` holds its tasks, and the call
+    reads the task's loss off a batched replay of its chunk: the same bits.
     """
-    arrays = [np.asarray(a, dtype=np.float64)
-              for a in (task.support_x, task.support_y, task.query_x, task.query_y)]
-    key = tuple(a.shape for a in arrays)
-    graph = None if graphs is None else graphs.get(key)
-    if graph is not None:
-        return graph.replay(arrays)
-    graph = _EvalGraph(model, arrays, config)
-    if graphs is not None:
-        graphs[key] = graph
-    return graph.loss
+    if chunks is not None:
+        return chunks.loss(model, task, config)
+    arrays = (task.support_x, task.support_y, task.query_x, task.query_y)
+    loss = float(_record_eval(model, arrays, config, True)[2].array)
+    if not math.isfinite(loss):
+        raise MetaLearnError(f"non-finite query loss for {_EVAL_TASK}")
+    return loss
 
 
 def summarize(values: list) -> tuple:
@@ -446,13 +483,14 @@ def summarize(values: list) -> tuple:
 def evaluate(model: nn.MetaModel, eval_tasks: list, config: MetaConfig) -> dict:
     """Per-task adapted query MSE and its mean.
 
-    Each task is one `adapted_query_mse` call; the calls share one recorded
-    graph per support and query shape, replayed on each task's data.
+    Each task is one `adapted_query_mse` call, in task order; the calls
+    share one recorded graph per support and query shape, replayed once per
+    chunk of tasks of that shape (see `_EvalChunks`).
     """
     if not eval_tasks:
         raise MetaLearnError("no evaluation tasks given")
-    graphs = {}
-    per_task = [adapted_query_mse(model, t, config, graphs) for t in eval_tasks]
+    chunks = _EvalChunks(list(eval_tasks))
+    per_task = [adapted_query_mse(model, t, config, chunks) for t in chunks.tasks]
     return {"mean": summarize(per_task)[0], "per_task": per_task}
 
 

@@ -1227,8 +1227,8 @@ def two_step_adaptation(x_arr, y_arr):
 
 class TestReplay:
     @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), stop=st.integers(0, 200))
-    def test_substituted_inputs_replay_a_fresh_recording(self, seed, stop):
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_substituted_inputs_replay_a_fresh_recording(self, seed):
         rng = np.random.default_rng(seed)
         first = [signed_uniform(rng, (5, 1)) * 3.0 for _ in range(2)]
         second = [signed_uniform(rng, (5, 1)) * 3.0 for _ in range(2)]
@@ -1239,17 +1239,6 @@ class TestReplay:
         assert len(fresh) == len(tape)
         want = [n.array.tobytes() for n in fresh.nodes]
         assert [v.tobytes() for v in tape.replay(inputs)] == want
-        # a stop partway, then the rest
-        stop = min(stop, len(tape))
-        part = tape.replay(inputs, stop)
-        assert [v.tobytes() for v in part] == want[:stop]
-        assert [v.tobytes() for v in tape.replay(inputs, None, part)] == want
-        # stopping right after each step loss, as an evaluation does
-        values = None
-        for lv in losses:
-            values = tape.replay(inputs, lv.index + 1, values)
-            assert len(values) == lv.index + 1
-            assert values[lv.index].tobytes() == fresh.nodes[lv.index].array.tobytes()
 
     def test_rejects_non_terminal_indices_and_wrong_shapes(self):
         tape, x, y, losses, loss = two_step_adaptation(np.ones((5, 1)), np.zeros((5, 1)))
@@ -1267,7 +1256,7 @@ class TestReplay:
 
     def test_no_argument_replay_returns_the_recorded_values(self):
         tape, *_ = two_step_adaptation(np.ones((5, 1)), np.zeros((5, 1)))
-        for got in (tape.replay(), tape.replay({}), tape.replay(None, None, [])):
+        for got in (tape.replay(), tape.replay({})):
             assert len(got) == len(tape)
             assert all(a.tobytes() == n.array.tobytes() for a, n in zip(got, tape.nodes))
 
@@ -1286,3 +1275,77 @@ class TestReplay:
             build(t, v)
             with pytest.raises(ad.AutodiffError, match="a replay cannot recompute"):
                 ad.check_replayable(t, [])
+
+
+def stacked_case(rng, n, m):
+    """A graph of every op kind a batched replay computes, on two (n, m)
+    constants: the reductions over each axis, 1-D and 0-D values broadcast
+    against matrices, transposed products and a recorded gradient step."""
+    tape = ad.Tape()
+    w, b = tape.leaf(rng.normal(size=(m, m))), tape.leaf(rng.normal(size=(m,)))
+    x, y = tape.constant(np.zeros((n, m))), tape.constant(np.zeros((n, m)))
+    h = ad.affine_tanh(ad.smul(x, 1.5), w, b)
+    s0, s1, s_all = ad.vsum(h, axis=0), ad.vsum(h, axis=1), ad.vsum(h)
+    m0, m_all = ad.mean(ad.mul(h, y), axis=(0, 1)), ad.mean(ad.sub(h, y), axis=1)
+    gram = ad.matmul(h, y, ta=True)  # (m, m)
+    outer = ad.matmul(ad.transpose(h), ad.sadd(y, 0.5), tb=False)
+    mixed = ad.add_n([ad.mul(s0, b), ad.div(s_all, ad.sadd(ad.square(m0), 1.0)), b])  # (m,)
+    pred = ad.affine(h, ad.sub(gram, ad.smul(outer, 0.1)), mixed)
+    scaled = ad.mul(ad.tanh(pred), ad.rsqrt(ad.sadd(ad.square(pred), 1.0)))
+    loss = ad.mse(ad.affine(h, w, b), y)  # its gradient records no reshape or broadcast
+    (gw,) = ad.grad(loss, [w])
+    step = ad.grad_through_update([w], [gw], alpha=0.3)[0]
+    outputs = [loss, s1, m_all, scaled, step, ad.mean(ad.sin(ad.cos(s0)))]
+    return tape, (x.index, y.index), outputs
+
+
+class TestBatchedReplay:
+    """A stack of tasks replayed at once carries each task's own replay bits."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), m=st.integers(1, 5),
+           tasks=st.integers(1, 5))
+    def test_each_slice_is_the_task_replayed_alone(self, seed, n, m, tasks):
+        rng = np.random.default_rng(seed)
+        tape, inputs, outputs = stacked_case(rng, n, m)
+        stacks = [rng.normal(size=(tasks, n, m)) for _ in inputs]
+        got = ad.BatchedReplay(tape, inputs, [v.index for v in outputs])(stacks)
+        for t in range(tasks):
+            alone = tape.replay({idx: stack[t] for idx, stack in zip(inputs, stacks)})
+            for v, stacked in zip(outputs, got):
+                assert stacked.shape == (tasks,) + v.shape
+                assert stacked[t].tobytes() == alone[v.index].tobytes()
+
+    def test_a_recorded_adaptation_replays_on_every_task(self):
+        tape, x, y, losses, loss = two_step_adaptation(np.ones((5, 1)), np.zeros((5, 1)))
+        rng = np.random.default_rng(0)
+        xs, ys = rng.normal(size=(4, 5, 1)), rng.normal(size=(4, 5, 1))
+        outputs = [lv.index for lv in losses] + [loss.index]
+        got = ad.BatchedReplay(tape, (x.index, y.index), outputs)([xs, ys])
+        for t in range(4):
+            fresh = two_step_adaptation(xs[t], ys[t])[0]
+            assert [v[t].tobytes() for v in got] == [fresh.nodes[i].array.tobytes() for i in outputs]
+
+    def test_rejects_what_it_cannot_stack(self):
+        tape, x, y, losses, loss = two_step_adaptation(np.ones((5, 1)), np.zeros((5, 1)))
+        with pytest.raises(ad.AutodiffError, match="not a leaf or constant"):
+            ad.BatchedReplay(tape, [loss.index], [loss.index])
+        with pytest.raises(ad.AutodiffError, match="a replay cannot recompute"):
+            ad.BatchedReplay(tape, [x.index], [loss.index])  # y stays a recorded data array
+        with pytest.raises(ad.AutodiffError, match="depends on no input"):
+            ad.BatchedReplay(tape, [x.index, y.index], [tape.leaves[0]])
+        replay = ad.BatchedReplay(tape, [x.index, y.index], [loss.index])
+        with pytest.raises(ad.ShapeError, match=r"\(5, 1\)"):
+            replay([np.ones((2, 4, 1)), np.ones((2, 5, 1))])
+        with pytest.raises(ad.ShapeError):
+            replay([np.ones((2, 5, 1)), np.ones((3, 5, 1))])  # unequal task counts
+        with pytest.raises(ad.AutodiffError, match="2 input stacks"):
+            replay([np.ones((2, 5, 1))])
+        for build in (lambda v: ad.concat([v, v]), lambda v: ad.slice_axis(v, 0, 0, 1),
+                      lambda v: ad.reshape(v, (2, 1)), lambda v: ad.cosine_similarity(v, v),
+                      lambda v: ad.sin(ad.reshape(v, (1, 1, 2)))):
+            t = ad.Tape()
+            c = t.constant([1.0, -1.0])
+            out = build(c)
+            with pytest.raises(ad.AutodiffError, match="batched replay|more than two axes"):
+                ad.BatchedReplay(t, [c.index], [out.index])

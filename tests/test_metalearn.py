@@ -1,8 +1,10 @@
 import gc
 import json
 import statistics
+import tracemalloc
 import warnings
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -620,53 +622,171 @@ def eval_model(method, family, seed, alpha=0.05, hidden=(8, 8)):
     return model
 
 
+def task_shapes(task):
+    return tuple(np.shape(a) for a in (task.support_x, task.support_y, task.query_x, task.query_y))
+
+
+def outcomes(adapt, tasks):
+    """Per task, in order: `adapt(task)`'s bits, or the message of the error
+    it raised; each call goes on after an earlier one raised."""
+    out = []
+    for t in tasks:
+        try:
+            out.append(float(adapt(t)).hex())
+        except ml.MetaLearnError as exc:
+            out.append(str(exc))
+    return out
+
+
+def outcomes_alone(model, tasks, config):
+    """Each task adapted on its own first-order tape."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return outcomes(lambda t: first_order_query_mse(model, t, config), tasks)
+
+
+def outcomes_per_call(model, tasks, config):
+    """The tasks through `evaluate`'s calls, one per task in order."""
+    chunks = ml._EvalChunks(tasks)
+    return outcomes(lambda t: ml.adapted_query_mse(model, t, config, chunks), tasks)
+
+
+def calm_task(k):
+    # a zero support set keeps the zero head at zero under any rate
+    x = np.linspace(-1.0, 1.0, 4)
+    return tk.TaskInstance("sinusoid", {}, 0.0, x, np.zeros(4), x + 0.1, np.sin(x + k))
+
+
+def wild_task(size):
+    # at alpha 1e10: 1e150 gives a finite first step loss, then infinities; 1e200 an infinite one
+    x = np.linspace(-1.0, 1.0, 4)
+    return tk.TaskInstance("sinusoid", {}, 0.0, x, [size, -size, size, -size], x, np.zeros(4))
+
+
+def wild_config(steps):
+    return ml.MetaConfig(alpha=1e10, trlearner=False, eval_inner_steps=steps, hidden=(8,))
+
+
 class TestReplayedEvaluation:
-    """`evaluate` records one adaptation per data shape and replays it per task."""
+    """`evaluate` records one adaptation per data shape and replays it per chunk of tasks."""
 
     @settings(max_examples=40, deadline=None)
     @given(method=st.sampled_from(ml.METHODS), family=st.sampled_from(["sinusoid", "harmonic"]),
-           steps=st.sampled_from([0, 1, 7]), seed=st.integers(0, 2**16), n_tasks=st.integers(1, 4))
-    def test_per_task_losses_are_bitwise_the_first_order_path(self, method, family, steps, seed, n_tasks):
+           steps=st.sampled_from([0, 1, 7]), seed=st.integers(0, 2**16), chunk=st.integers(1, 4),
+           offset=st.sampled_from([-1, 0, 1]), mixed=st.booleans())
+    def test_per_task_losses_are_bitwise_the_first_order_path(self, method, family, steps, seed,
+                                                              chunk, offset, mixed):
+        # 1, chunk - 1, chunk or chunk + 1 tasks per shape; `mixed` alternates two
+        # support sizes in task order; metasgd rates are non-uniform (eval_model)
         config = small_config(method=method, hidden=(8, 8), eval_inner_steps=steps, alpha=0.05)
         model = eval_model(method, family, seed)
-        source = tk.TaskSource(family, 6, 9, seed=seed)
-        tasks = [source.eval_task(t) for t in range(n_tasks)]
+        sources = [tk.TaskSource(family, k, 9, seed=seed) for k in ((6, 4) if mixed else (6,))]
+        per_shape = max(1, chunk + offset)
+        tasks = [sources[t % len(sources)].eval_task(t) for t in range(per_shape * len(sources))]
+        (width,) = {ml._eval_replay(model, task_shapes(t), config).width for t in tasks[:len(sources)]}
+        want = outcomes_alone(model, tasks, config)
+        sizes, call = [], ad.BatchedReplay.__call__
 
-        def outcome(losses):  # the losses' bits, or the error a diverging task raised
-            try:
-                return [float(v).hex() for v in losses()]
-            except ml.MetaLearnError as exc:
-                return str(exc)
+        def counting(replay, stacks):
+            sizes.append(len(stacks[0]))
+            return call(replay, stacks)
 
-        with np.errstate(over="ignore", invalid="ignore"):
-            want = outcome(lambda: [first_order_query_mse(model, t, config) for t in tasks])
-            assert outcome(lambda: ml.evaluate(model, tasks, config)["per_task"]) == want
-            assert outcome(lambda: [ml.adapted_query_mse(model, t, config) for t in tasks]) == want
+        with mock.patch.object(ml, "_CHUNK_FLOATS", chunk * width), \
+                mock.patch.object(ad.BatchedReplay, "__call__", counting), \
+                np.errstate(over="ignore", invalid="ignore"):
+            assert outcomes_per_call(model, tasks, config) == want
+            full, rest = divmod(per_shape, chunk)
+            assert sorted(sizes) == sorted(([chunk] * full + [rest] * (rest > 0)) * len(sources))
+            failed = [w for w in want if "loss" in w]
+            if failed:
+                with pytest.raises(ml.MetaLearnError, match=f"^{failed[0]}$"):
+                    ml.evaluate(model, tasks, config)
+            else:
+                assert [v.hex() for v in ml.evaluate(model, tasks, config)["per_task"]] == want
+            assert outcomes(lambda t: ml.adapted_query_mse(model, t, config), tasks) == want
 
     @pytest.mark.parametrize("steps, message", [(3, "non-finite inner loss"), (1, "non-finite query loss")])
-    def test_a_diverging_task_raises_at_the_same_step(self, steps, message, monkeypatch):
-        # the recorded first task stays at its zero loss; the replayed second one
-        # diverges: at step 2 of 3, or (one step) in its query loss
-        config = ml.MetaConfig(alpha=1e10, trlearner=False, eval_inner_steps=steps, hidden=(8,))
-        model = nn.init_model([1, 8], 2, 0)
-        x = np.linspace(-1.0, 1.0, 4)
-        calm = tk.TaskInstance("sinusoid", {}, 0.0, x, np.zeros(4), x + 0.1, np.zeros(4))
-        wild = tk.TaskInstance("sinusoid", {}, 0.0, x, [1e150, -1e150, 1e150, -1e150], x, np.zeros(4))
-        losses = []
-        mse = ad._FORWARD["mse"]
-        monkeypatch.setitem(ad._FORWARD, "mse", lambda xs, e: losses.append(mse(xs, e)) or losses[-1])
-        runs = []
-        with np.errstate(over="ignore", invalid="ignore"):
-            for run in (lambda: ml.evaluate(model, [calm, wild], config),
-                        lambda: [first_order_query_mse(model, t, config) for t in (calm, wild)]):
-                losses.clear()
-                with pytest.raises(ml.MetaLearnError, match=f"{message} for an evaluation task"):
-                    run()
-                runs.append([float(v).hex() for v in losses])
-        replayed, alone = runs
-        # the calm task's steps + 1 losses, then the wild one's first two
-        assert replayed == alone and len(alone) == steps + 3
-        assert not np.isfinite(float.fromhex(alone[-1])) and np.isfinite(float.fromhex(alone[-2]))
+    def test_a_diverging_task_raises_at_the_same_step(self, steps, message):
+        # the wild second task diverges: at step 2 of 3, or (one step) in its
+        # query loss; the calm first one keeps its bits
+        config, model = wild_config(steps), nn.init_model([1, 8], 2, 0)
+        tasks = [calm_task(0), wild_task(1e150)]
+        want = outcomes_alone(model, tasks, config)
+        assert want[1] == f"{message} for an evaluation task"
+        assert outcomes_per_call(model, tasks, config) == want
+        with pytest.raises(ml.MetaLearnError, match=f"^{want[1]}$"):
+            ml.evaluate(model, tasks, config)
+
+    def test_a_diverging_task_in_the_middle_of_a_chunk(self):
+        config, model = wild_config(3), nn.init_model([1, 8], 2, 0)
+        tasks = [calm_task(k) for k in range(3)] + [wild_task(1e150)] + [calm_task(k) for k in range(3, 6)]
+        assert ml._CHUNK_FLOATS // ml._eval_replay(model, task_shapes(tasks[0]), config).width > len(tasks)
+        want = outcomes_alone(model, tasks, config)
+        assert ["loss" in w for w in want] == [False] * 3 + [True] + [False] * 3
+        assert outcomes_per_call(model, tasks, config) == want
+        with pytest.raises(ml.MetaLearnError, match="non-finite inner loss"):
+            ml.evaluate(model, tasks, config)
+
+    @pytest.mark.parametrize("first", ["query", "inner"])
+    def test_the_first_failing_task_decides_the_error(self, first):
+        # in one chunk, a task whose query loss overflows and one whose first
+        # step loss does; whichever comes first in task order names the error
+        config, model = wild_config(1), nn.init_model([1, 8], 2, 0)
+        wild = {"query": wild_task(1e150), "inner": wild_task(1e200)}
+        second = "inner" if first == "query" else "query"
+        tasks = [calm_task(0), wild[first], wild[second], calm_task(1)]
+        want = outcomes_alone(model, tasks, config)
+        assert want[1:3] == [f"non-finite {kind} loss for an evaluation task" for kind in (first, second)]
+        assert outcomes_per_call(model, tasks, config) == want
+        with pytest.raises(ml.MetaLearnError, match=f"^{want[1]}$"):
+            ml.evaluate(model, tasks, config)
+
+    def test_a_diverging_chunk_warns_of_nothing(self):
+        # overflow in one task's slice raises no RuntimeWarning, while the lone
+        # first-order path on the same task does
+        config, model = wild_config(3), nn.init_model([1, 8], 2, 0)
+        tasks = [calm_task(0), wild_task(1e150), calm_task(1)]
+        want = outcomes_alone(model, tasks, config)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert outcomes_per_call(model, tasks, config) == want
+            with pytest.raises(ml.MetaLearnError, match="non-finite inner loss"):
+                ml.evaluate(model, tasks, config)
+        with pytest.warns(RuntimeWarning), pytest.raises(ml.MetaLearnError):
+            first_order_query_mse(model, tasks[1], config)
+
+    def test_chunks_take_their_tasks_in_order(self):
+        config, model = small_config(eval_inner_steps=1), nn.init_model([1, 8], 2, 0)
+        tasks = [calm_task(0), calm_task(1)]
+        chunks = ml._EvalChunks(tasks)
+        with pytest.raises(ml.MetaLearnError, match="in order"):
+            ml.adapted_query_mse(model, tasks[1], config, chunks)
+
+    def test_a_lone_call_records_no_inner_gradient(self, monkeypatch):
+        tapes, bind = [], nn.bind
+        monkeypatch.setattr(nn, "bind", lambda m, tape, **kw: tapes.append(tape) or bind(m, tape, **kw))
+        config = small_config(hidden=(40, 40), eval_inner_steps=7)
+        task = tk.TaskSource("sinusoid", 10, 15, seed=0).eval_task(0)
+        model = nn.init_model([1, 40, 40], 4, 0)
+        got = ml.adapted_query_mse(model, task, config)
+        (tape,) = tapes
+        assert {"mse-grad", "tanh-grad", "matmul"}.isdisjoint(n.op for n in tape.nodes)
+        assert got == first_order_query_mse(model, task, config)
+
+    def test_peak_memory_stays_within_a_multiple_of_the_chunk_budget(self):
+        # a chunk's replay keeps alive only the values still to be read (about
+        # four of the largest stacked node) besides the recording: 8.5 budgets
+        # here, against 32 when every value lives to the end of the replay
+        config = ml.MetaConfig(hidden=(40, 40), trlearner=False, eval_inner_steps=7)
+        model = nn.init_model([1, 40, 40], 4, 0)
+        source = tk.TaskSource("sinusoid", 10, 15, seed=0)
+        tasks = [source.eval_task(t) for t in range(200)]
+        tracemalloc.start()
+        try:
+            ml.evaluate(model, tasks, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * ml._CHUNK_FLOATS * 8
 
     def test_each_support_and_query_size_gets_its_own_recording(self, monkeypatch):
         tapes = []
