@@ -172,9 +172,13 @@ def _same_tape(op: str, vars_: tuple) -> Tape:
 # forward implementations (shared by record-time eval and tape replay)
 
 def _f_add(xs, _):
+    # a left fold; a fresh sum of the full shape takes the next term in place
     total = xs[0] + xs[1]
     for x in xs[2:]:
-        total = total + x
+        if type(total) is np.ndarray and x.shape == total.shape:
+            total += x
+        else:
+            total = total + x
     return total
 
 
@@ -227,11 +231,22 @@ def _count(axis, shape) -> int:
 
 
 def _f_mse(xs, _):
-    return np.add.reduce(np.square(xs[0] - xs[1]), axis=None) / xs[0].size
+    # one loss per task over the last two axes; a 2-D operand is one task
+    d = xs[0] - xs[1]
+    if d.ndim <= 2:
+        return np.add.reduce(np.square(d), axis=None) / d.size
+    return np.add.reduce(np.square(d), axis=(-2, -1)) / (d.shape[-2] * d.shape[-1])
+
+
+def _per_task(shape: tuple, ndim: int) -> tuple:
+    """A per-task shape (an mse's) padded to broadcast over `ndim` axes."""
+    return shape + (1,) * (ndim - len(shape))
 
 
 def _f_mse_grad(xs, c):
     g, p, y = xs
+    if 0 < g.ndim < p.ndim:  # one adjoint per task of a stack
+        g = g.reshape(_per_task(g.shape, p.ndim))
     return (g * c) * ((p - y) * 2.0)
 
 
@@ -413,20 +428,23 @@ def sadd(a: Var, c: float) -> Var:
 
 
 def matmul(a: Var, b: Var, ta: bool = False, tb: bool = False) -> Var:
-    """a @ b, with `ta`/`tb` reading that operand transposed (2-D only).
+    """a @ b over the last two axes, with `ta`/`tb` reading that operand's
+    last two axes transposed; leading (task) axes broadcast.
 
     A transposed operand is copied contiguous first, so the value equals
     `matmul(transpose(a), b)` bit for bit.
     """
-    if (a.array.ndim != 2 or b.array.ndim != 2
-            or a.shape[0 if ta else 1] != b.shape[1 if tb else 0]):
+    if (a.array.ndim < 2 or b.array.ndim < 2
+            or a.shape[-2 if ta else -1] != b.shape[-1 if tb else -2]):
         raise ShapeError(f"op 'matmul': incompatible shapes {a.shape} @ {b.shape}"
-                         f" (2-D only, ta={ta}, tb={tb})")
+                         f" (ta={ta}, tb={tb})")
     return _record("matmul", (a, b), (bool(ta), bool(tb)))
 
 
 def affine(h: Var, w: Var, b: Var) -> Var:
-    """h @ w + b for a (n, i) batch, (i, o) weights and an (o,) bias."""
+    """h @ w + b for an (..., n, i) batch, (..., i, o) weights and an (o,) or
+    (..., 1, o) bias; leading (task) axes broadcast, so 2-D weights serve
+    every task of a stack."""
     _check_affine("affine", h, w, b)
     return _record("affine", (h, w, b))
 
@@ -438,13 +456,14 @@ def affine_tanh(h: Var, w: Var, b: Var) -> Var:
 
 
 def _check_affine(op: str, h: Var, w: Var, b: Var) -> None:
-    if (h.array.ndim != 2 or w.array.ndim != 2 or h.shape[1] != w.shape[0]
-            or b.shape != (w.shape[1],)):
+    if (h.array.ndim < 2 or w.array.ndim < 2 or h.shape[-1] != w.shape[-2]
+            or b.shape[-1:] != w.shape[-1:] or (b.array.ndim > 1 and b.shape[-2] != 1)):
         raise ShapeError(f"op '{op}': incompatible shapes {h.shape} @ {w.shape} + {b.shape}")
 
 
 def mse(pred: Var, y: Var) -> Var:
-    """mean((pred - y)^2) over equal-shaped operands; scalar output."""
+    """mean((pred - y)^2) over equal-shaped operands' last two axes: a
+    scalar for 2-D operands, one loss per task for a stack of them."""
     if pred.shape != y.shape:
         raise ShapeError(f"op 'mse': shapes {pred.shape} and {y.shape} differ")
     return _record("mse", (pred, y))
@@ -582,7 +601,7 @@ def _unbroadcast(ops, g, shape: tuple):
     axes = tuple(range(extra)) + tuple(
         i + extra for i, n in enumerate(shape) if n == 1 and g.shape[i + extra] != 1
     )
-    s = ops.vsum(g, axis=axes) if axes else g
+    s = ops.record("sum", (g,), (axes, g.shape)) if axes else g  # vsum, axes already normal
     if s.shape != shape:
         s = ops.reshape(s, shape)
     return s
@@ -620,23 +639,27 @@ def _v_sadd(ops, out, ins, g, c, need):
 
 
 def _v_matmul(ops, out, ins, g, extra, need):
-    # out = A @ B with A = a.T if ta else a, B = b.T if tb else b
+    # out = A @ B with A = a.T if ta else a, B = b.T if tb else b; an operand
+    # broadcast over leading axes sums its adjoint over them
     a, b = ins
     ta, tb = extra
     ga = gb = None
     if need[0]:
         ga = ops.matmul(b, g, ta=tb, tb=True) if ta else ops.matmul(g, b, tb=not tb)
+        ga = _unbroadcast(ops, ga, a.shape)
     if need[1]:
         gb = ops.matmul(g, a, ta=True, tb=ta) if tb else ops.matmul(a, g, ta=not ta)
+        gb = _unbroadcast(ops, gb, b.shape)
     return (ga, gb)
 
 
 def _v_affine(ops, out, ins, g, _, need):
     h, w, b = ins
-    # Recorded in the order of the add-then-matmul chain this op replaces.
-    gb = ops.vsum(g, axis=0) if need[2] else None
-    gh = ops.matmul(g, w, tb=True) if need[0] else None
-    gw = ops.matmul(h, g, ta=True) if need[1] else None
+    # Recorded in the order of the add-then-matmul chain this op replaces;
+    # on 2-D operands the bias adjoint is the one sum over the batch axis.
+    gb = _unbroadcast(ops, g, b.shape) if need[2] else None
+    gh = _unbroadcast(ops, ops.matmul(g, w, tb=True), h.shape) if need[0] else None
+    gw = _unbroadcast(ops, ops.matmul(h, g, ta=True), w.shape) if need[1] else None
     return (gh, gw, gb)
 
 
@@ -648,19 +671,23 @@ def _v_affine_tanh(ops, out, ins, g, _, need):
 
 def _v_mse(ops, out, ins, g, _, need):
     p, y = ins
-    gp = ops.record("mse-grad", (g, p, y), 1.0 / float(math.prod(p.shape)))
+    gp = ops.record("mse-grad", (g, p, y), 1.0 / float(math.prod(p.shape[-2:])))
     return (gp if need[0] else None, ops.smul(gp, -1.0) if need[1] else None)
 
 
 def _v_mse_grad(ops, out, ins, h, c, need):
-    # out = (g * c) * ((p - y) * 2); the adjoints follow the steps of the
-    # mean(square(sub)) chain this op replaces, so second order keeps its bits
+    # out = (g * c) * ((p - y) * 2), g one adjoint per task; the adjoints
+    # follow the steps of the mean(square(sub)) chain this op replaces, so
+    # second order keeps its bits
     g, p, y = ins
+    lifted = _per_task(g.shape, len(p.shape))
     gg = gp = gy = None
     if need[0]:
-        summed = _unbroadcast(ops, ops.smul(ops.mul(h, ops.smul(ops.sub(p, y), 2.0)), c), (1,) * len(p.shape))
+        summed = _unbroadcast(ops, ops.smul(ops.mul(h, ops.smul(ops.sub(p, y), 2.0)), c), lifted)
         gg = ops.reshape(summed, g.shape)
     if need[1] or need[2]:
+        if g.shape and g.shape != lifted:
+            g = ops.reshape(g, lifted)
         gp = ops.smul(ops.mul(h, ops.smul(g, c)), 2.0)
         gy = ops.smul(gp, -1.0) if need[2] else None
     return (gg, gp if need[1] else None, gy)
@@ -752,19 +779,21 @@ def _v_slice(ops, out, ins, g, extra, need):
 
 def _v_sgd_step(ops, out, ins, h, extra, need):
     # the adjoints of the sub(p, smul(g, alpha)) and sub(p, mul(r, g)) chains
-    # this op replaces, with (h * -1) * alpha recorded as h * -alpha (same bits)
+    # this op replaces, with (h * -1) * alpha recorded as h * -alpha (same
+    # bits); rates shared by a stack of tasks sum their adjoint over it
     alpha, fixed_g = extra
     gp = h if need[0] else None
     if fixed_g is not None:  # first order: p, and r with rates
         if alpha is not None:
             return (gp,)
-        return (gp, ops.mul(ops.smul(h, -1.0), ops.constant(fixed_g)) if need[1] else None)
+        return (gp, _unbroadcast(ops, ops.mul(ops.smul(h, -1.0), ops.constant(fixed_g)), ins[1].shape)
+                if need[1] else None)
     if alpha is not None:
         return (gp, ops.smul(h, -alpha) if need[1] else None)
     if not (need[1] or need[2]):
         return (gp, None, None)
     neg = ops.smul(h, -1.0)
-    gr = ops.mul(neg, ins[1]) if need[2] else None
+    gr = _unbroadcast(ops, ops.mul(neg, ins[1]), ins[2].shape) if need[2] else None
     return (gp, ops.mul(neg, ins[2]) if need[1] else None, gr)
 
 
@@ -995,8 +1024,8 @@ def _b_reduce(xs, extra):
     return (total if count is None else total / count).reshape(shape)
 
 
-def _b_mse(xs, size):
-    return (np.add.reduce(np.square(xs[0] - xs[1]), axis=(1, 2)) / size).reshape(-1, 1, 1)
+def _b_mse(xs, _):
+    return _f_mse(xs, None).reshape(-1, 1, 1)
 
 
 def _batched_op(idx: int, nodes: list):
@@ -1007,7 +1036,7 @@ def _batched_op(idx: int, nodes: list):
     if node.op in _BROADCASTING:
         return _FORWARD[node.op], node.extra
     if node.op == "mse":
-        return _b_mse, nodes[node.parents[0]].array.size
+        return _b_mse, None
     if node.op in ("sum", "mean"):
         axis, in_shape = node.extra
         offset = 3 - len(in_shape)

@@ -4,14 +4,22 @@ One meta-batch is recorded on a fresh tape in a fixed phase order:
 
   A. bind model parameters (and similarity masks) as tape leaves
   B. task representations, the relation matrix and its trust weights, when enabled
-  C. inner adaptation of every task on its meta-data support set
+  C. inner adaptation of all N tasks on their meta-data support sets, at once
   D. per-task query losses, plus the weighted consistency term
   E. one backward pass over the averaged objective, on bare arrays: values only
   F. one optimizer step on the underlying arrays
 
 Phases B and C commute (the matrix reads base extractor features, never
 adapted ones); the order is fixed so trajectories survive refactors.
-They read each task's support set through one recorded constant.
+B reads each task's support x through its own constant.  C is one
+recorded `_adapt` of the N tasks stacked on a leading task axis: the
+heads of slots 0..N-1 and the support sets stacked, and one
+`broadcast_to` copy of the extractor per task; each task's slice holds
+the bits of its own 2-D `inner_adapt`.  The plain arm scores the N query
+sets in one stacked chain.  The TRLearner arm scores each (adapted
+model, query set) pair through one-task views of the stack (`slice_axis`
+and `reshape`), one `AdaptedModel.predict` per pair.  Both arms sum the
+per-task terms in one reduction.
 Task heads are re-initialized to zero at the start of every meta-batch
 by the training loop: head i belongs to batch slot i, and a fresh batch
 carries fresh tasks.
@@ -154,31 +162,52 @@ def _inner_rates(mv: nn.ModelVars, config: MetaConfig, head_only: bool):
     return [v for pair in (mv.rates[-1:] if head_only else mv.rates) for v in pair]
 
 
+def _task_shape(lead: tuple, shape: tuple) -> tuple:
+    """A parameter of `shape` with the leading task axes `lead`: a bias
+    (o,) becomes (..., 1, o), so it broadcasts over each task's batch."""
+    return lead + (1,) * (2 - len(shape)) + shape
+
+
 def _adapt(mv: nn.ModelVars, head: list, x: ad.Var, y: ad.Var, config: MetaConfig,
-           steps: int, first_order: bool, label: str) -> AdaptedModel:
+           steps: int, first_order: bool, label) -> AdaptedModel:
     """`steps` gradient steps from the base extractor and `head` on the support set `x`, `y`.
 
+    One task has a 2-D head, (d, 1) and (1,), and support set.  A stack of
+    N tasks puts a leading task axis on both: (N, d, 1) and (N, 1, 1) heads,
+    (N, k, ·) support arrays.  Each of its tasks then reads its own copy
+    of the extractor, one `broadcast_to` per parameter, and the inner
+    gradient is seeded by the vector of per-task losses; no op mixes
+    tasks, so each task gets the bits of its own 2-D adaptation, and the
+    outer gradient sums the tasks' extractor adjoints in one reduction.
+
     maml/metasgd adapt extractor and head; anil adapts the head only and
-    reads the extractor frozen, so its support features are computed once.
-    Unless `first_order`, the inner gradients are recorded and the returned
-    parameters keep their path alive for the outer backward; first order
-    computes them as bare arrays, which the `sgd-step` nodes hold: no VJP
-    and no gradient node is recorded.  `label` names the
-    adaptation in the non-finite-loss error.
+    reads the extractor frozen, so its support features are computed once,
+    by the first step.  Unless `first_order`, the inner gradients are
+    recorded and the returned parameters keep their path alive for the
+    outer backward; first order computes them as bare arrays, which the
+    `sgd-step` nodes hold: no VJP and no gradient node is recorded.
+    `label` names the adaptation in the non-finite-loss error; for a stack
+    it is a list naming each task.
     """
     head_only = config.method == "anil"
-    frozen = mv.extractor_params() if head_only else []
-    cur = list(head) if head_only else mv.extractor_params() + list(head)
-    if head_only:
-        feats = nn.forward_features_with(mv, frozen, x)
+    extractor = mv.extractor_params()
+    lead = head[0].shape[:-2]
+    if lead:
+        extractor = [ad.broadcast_to(p, _task_shape(lead, p.shape)) for p in extractor]
+    frozen = extractor if head_only else []
+    cur = list(head) if head_only else extractor + list(head)
 
     rates = _inner_rates(mv, config, head_only)
     losses = []
-    for _ in range(steps):
-        if not head_only:
-            feats = nn.forward_features_with(mv, cur[:-2], x)
+    for step in range(steps):
+        if step == 0 or not head_only:
+            feats = nn.forward_features_with(mv, frozen + cur[:-2], x)
         loss = task_loss(nn.head_apply(cur[-2:], feats), y)
-        if not math.isfinite(loss.array):  # a scalar: np.isfinite costs a ufunc call
+        if lead:
+            bad = np.flatnonzero(~np.isfinite(loss.array))
+            if bad.size:
+                raise MetaLearnError(f"non-finite inner loss for {label[bad[0]]}")
+        elif not math.isfinite(loss.array):  # a scalar: np.isfinite costs a ufunc call
             raise MetaLearnError(f"non-finite inner loss for {label}")
         losses.append(loss)
         cur = ad.grad_through_update(
@@ -194,6 +223,52 @@ def inner_adapt(mv: nn.ModelVars, i: int, metadata, config: MetaConfig) -> Adapt
     x, y = mv.constant(metadata.support_x), mv.constant(metadata.support_y)
     return _adapt(mv, mv.head_params(i), x, y, config, config.inner_steps,
                   not config.second_order, f"task {i}")
+
+
+def _stack(metadata: list, key: str) -> np.ndarray:
+    """One meta-data array of every task, stacked on a leading task axis."""
+    arrays = [getattr(md, key) for md in metadata]
+    if len({a.shape for a in arrays}) > 1:
+        raise MetaLearnError(f"tasks of a meta-batch need one {key} shape, got {[a.shape for a in arrays]}")
+    return np.stack(arrays)
+
+
+def _adapt_batch(mv: nn.ModelVars, metadata: list, config: MetaConfig) -> AdaptedModel:
+    """Phase C for all N tasks at once: `_adapt` of the heads of slots
+    0..N-1, stacked by one `concat` and one `reshape` each, on the stacked
+    meta-data support sets."""
+    n = len(metadata)
+    heads = [mv.head_params(i) for i in range(n)]
+    head = [ad.reshape(ad.concat([h[k] for h in heads]), _task_shape((n,), heads[0][k].shape))
+            for k in (0, 1)]
+    x, y = (mv.tape.constant(_stack(metadata, key)) for key in ("support_x", "support_y"))
+    return _adapt(mv, head, x, y, config, config.inner_steps, not config.second_order,
+                  [f"task {i}" for i in range(n)])
+
+
+#: most slices one split of a stacked Var makes (see `_split`)
+_SPLIT = 4
+
+
+def _split(p: ad.Var) -> list:
+    """The tasks of a stacked Var, one (1, ...) slice each, split off
+    `_SPLIT` groups at a time.  A slice's adjoint is zero-padded to its
+    operand's shape, and the walk keeps a Var's adjoints until it sums
+    them: splitting by groups keeps at most `_SPLIT` padded adjoints of
+    a Var alive, not one per task."""
+    n = p.shape[0]
+    if n == 1:
+        return [p]
+    size = -(-n // _SPLIT)
+    groups = [ad.slice_axis(p, 0, i, min(n, i + size)) for i in range(0, n, size)]
+    return [v for group in groups for v in _split(group)]
+
+
+def _task_views(adapted: AdaptedModel) -> list:
+    """Each task of a stacked adaptation as a one-task AdaptedModel, an
+    N=1 stack: its (1, ...) slice of every stacked parameter."""
+    per_task = zip(*[_split(p) for p in adapted.extractor + adapted.head])
+    return [AdaptedModel(adapted.mv, list(params[:-2]), list(params[-2:]), []) for params in per_task]
 
 
 def trlearner_loss(adapted_models: list, matrix: rel.RelationMatrix, i: int, x: ad.Var, y: ad.Var) -> ad.Var:
@@ -299,23 +374,28 @@ def _record_batch(model: nn.MetaModel, layer, batch: tk.TaskBatch, config: MetaC
             reps = [ad.detach(z) for z in reps]
         matrix = rel.build_matrix(omega, reps)
 
-    adapted = [inner_adapt(mv, i, batch.metadata[i], config) for i in range(n)]
+    adapted = _adapt_batch(mv, batch.metadata, config)
 
-    query_losses = []
-    tr_losses = [] if matrix is not None else None
-    terms = []
-    for i, md in enumerate(batch.metadata):
-        x = tape.constant(md.query_x)
-        y = tape.constant(md.query_y)
-        lq = task_loss(adapted[i].predict(x), y)
-        query_losses.append(float(lq.array))
-        term = lq
-        if matrix is not None:
-            ltr = trlearner_loss(adapted, matrix, i, x, y)
-            tr_losses.append(float(ltr.array))
-            term = ad.add(lq, ad.smul(ltr, config.lam))
-        terms.append(term)
-    objective = ad.smul(ad.add_n(terms), 1.0 / n)
+    if matrix is None:
+        x, y = (tape.constant(_stack(batch.metadata, key)) for key in ("query_x", "query_y"))
+        terms = task_loss(adapted.predict(x), y)
+        query_losses, tr_losses = terms.array.tolist(), None
+    else:
+        views = _task_views(adapted)
+        query_losses, tr_losses, terms = [], [], []
+        for i, md in enumerate(batch.metadata):
+            # the 2-D query x broadcasts against a view's (1, ...) parameters
+            x = tape.constant(md.query_x)
+            y = ad.reshape(tape.constant(md.query_y), (1,) + md.query_y.shape)
+            lq = task_loss(views[i].predict(x), y)
+            ltr = trlearner_loss(views, matrix, i, x, y)
+            query_losses.append(float(lq.array[0]))
+            tr_losses.append(float(ltr.array[0]))
+            terms.append(ad.add(lq, ad.smul(ltr, config.lam)))
+        terms = ad.concat(terms)
+    # one reduction over the per-task terms in both arms: numpy sums 8 or
+    # more of them pairwise, so lam=0 keeps the plain arm's order and bits
+    objective = ad.smul(ad.vsum(terms), 1.0 / n)
     return named, matrix, objective, query_losses, tr_losses
 
 
@@ -360,7 +440,9 @@ _CHUNK_FLOATS = 12800
 
 def _record_eval(model: nn.MetaModel, arrays: list, config: MetaConfig, first_order: bool):
     """`_adapt` from a zero head on the support set, then the query loss, on a
-    fresh tape; returns the four data constants, the step losses and the loss.
+    fresh tape; returns the data constants, the step losses and the loss.
+    The support set's two constants lead the query set's, and are recorded
+    only when a step reads them.
 
     Its leaves are the extractor, the inner rates and the zero head: the
     tape binds that head in place of the training heads, which belong to
@@ -368,16 +450,17 @@ def _record_eval(model: nn.MetaModel, arrays: list, config: MetaConfig, first_or
     tape = ad.Tape()
     d = model.feature_width
     mv = nn.bind(model, tape, heads=[(np.zeros((d, 1)), np.zeros(1))])
-    data = [tape.constant(a) for a in arrays]
     steps = config.inner_steps if config.eval_inner_steps is None else config.eval_inner_steps
-    adapted = _adapt(mv, mv.head_params(0), data[0], data[1], config, steps, first_order, _EVAL_TASK)
-    return data, adapted.losses, task_loss(adapted.predict(data[2]), data[3])
+    data = [tape.constant(a) for a in (arrays if steps else arrays[2:])]
+    x, y = data[:2] if steps else (None, None)
+    adapted = _adapt(mv, mv.head_params(0), x, y, config, steps, first_order, _EVAL_TASK)
+    return data, adapted.losses, task_loss(adapted.predict(data[-2]), data[-1])
 
 
 def _eval_replay(model: nn.MetaModel, shapes: tuple, config: MetaConfig) -> ad.BatchedReplay:
     """The evaluation adaptation for tasks of these data shapes, recorded on
     zero data with its inner gradients on the tape, as a batched replay of
-    the four data constants to the step losses and the query loss.  The
+    its data constants to the step losses and the query loss.  The
     recorded nodes make the `_FORWARD` calls that the first-order values
     walk makes, so each task's slice of a replay carries the bits that
     adapting that task on its own tape would."""
@@ -434,7 +517,8 @@ class _EvalChunks:
         size = max(1, _CHUNK_FLOATS // replay.width)
         chunk = list(islice((j for j in range(i, len(self.tasks)) if self._shapes(j) == shapes), size))
         with np.errstate(over="ignore", invalid="ignore"):
-            *steps, query = replay([np.stack(data) for data in zip(*(self.arrays[j] for j in chunk))])
+            read = slice(4 - len(replay.inputs), 4)  # no support set without a step
+            *steps, query = replay([np.stack(data) for data in zip(*(self.arrays[j][read] for j in chunk))])
             inner = np.isfinite(np.stack(steps)).all(axis=0) if steps else np.ones(len(chunk), bool)
         for j, ok, q in zip(chunk, inner.tolist(), query.tolist()):
             self.outcomes[j] = (q if ok and math.isfinite(q) else

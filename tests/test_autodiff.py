@@ -199,11 +199,12 @@ class TestReductionProperties:
     @settings(max_examples=100, deadline=None)
     @given(shape=ANY_SHAPE, seed=st.integers(0, 2**32 - 1))
     def test_mse_matches_numpy_bitwise(self, shape, seed):
+        # the mean over the last two axes: one loss per task of a 3-D stack
         rng = np.random.default_rng(seed)
         p, y = np.asarray(rng.normal(size=shape)), np.asarray(rng.normal(size=shape))
         tape = ad.Tape()
         assert_same_value_on_replay(tape, ad.mse(tape.leaf(p), tape.constant(y)),
-                                    np.mean(np.square(p - y)))
+                                    np.mean(np.square(p - y), axis=None if len(shape) <= 2 else (-2, -1)))
 
     @settings(max_examples=100, deadline=None)
     @given(case=REDUCTION_CASES, op=st.sampled_from(sorted(REDUCTIONS)), seed=st.integers(0, 2**32 - 1))
@@ -642,8 +643,25 @@ def _old_cosine_chain(vs):
 def fused_cases(draw):
     """(name, operand shapes, fused builder, primitive-chain builder)."""
     n, k, m = (draw(st.integers(1, 4)) for _ in range(3))
+    t = draw(st.integers(1, 3))  # tasks on a leading axis
     kind = draw(st.sampled_from(["matmul", "affine", "affine-tanh", "mse", "tanh-vjp", "cosine-vjp",
-                                 "add-n", "sgd-step", "sgd-step-rates"]))
+                                 "add-n", "sgd-step", "sgd-step-rates", "affine-tasks",
+                                 "affine-tanh-tasks", "mse-tasks", "sgd-step-tasks"]))
+    if kind in ("affine-tasks", "affine-tanh-tasks"):
+        # a stack of batches, with weights per task or 2-D ones every task shares
+        per_task = draw(st.booleans())
+        shapes = [(t, n, k), (t, k, m) if per_task else (k, m), (t, 1, m) if per_task else (m,)]
+        if kind == "affine-tasks":
+            return (kind, shapes, lambda vs: ad.affine(*vs), lambda vs: ad.add(ad.matmul(vs[0], vs[1]), vs[2]))
+        return (kind, shapes, lambda vs: ad.affine_tanh(*vs),
+                lambda vs: ad.tanh(ad.add(ad.matmul(vs[0], vs[1]), vs[2])))
+    if kind == "mse-tasks":  # one loss per task
+        return (kind, [(t, n, m)] * 2, lambda vs: ad.mse(*vs),
+                lambda vs: ad.mean(ad.square(ad.sub(vs[0], vs[1])), axis=(1, 2)))
+    if kind == "sgd-step-tasks":  # 2-D rates every task shares, as MetaSGD's
+        return (kind, [(t, n, m), (t, n, m), (n, m)],
+                lambda vs: ad.grad_through_update([vs[0]], [ad.sin(vs[1])], rates=[vs[2]])[0],
+                lambda vs: ad.sub(vs[0], ad.mul(vs[2], ad.sin(vs[1]))))
     if kind == "matmul":
         ta, tb = draw(st.booleans()), draw(st.booleans())
         shapes = [(k, n) if ta else (n, k), (m, k) if tb else (k, m)]

@@ -313,6 +313,38 @@ class TestOuterStep:
             runs[key] = params_of(model)
         assert_params_equal(runs["off"], runs["zero"])
 
+    @pytest.mark.parametrize("method", ml.METHODS)
+    def test_lambda_zero_matches_trlearner_off_past_eight_tasks(self, method):
+        # numpy sums 8 or more values pairwise, so with 9 tasks the two arms
+        # agree only if both reduce their per-task terms the same way
+        runs = {}
+        for key, kw in {"off": dict(trlearner=False),
+                        "zero": dict(trlearner=True, lam=0.0)}.items():
+            config = small_config(method=method, batch_tasks=9, **kw)
+            model, layer, source = build(config, seed=3)
+            opt = ml.make_optimizer(model, layer, config)
+            metrics = []
+            for b in range(3):
+                model.zero_heads()
+                batch = tk.make_task_batch(source.train_batch(0, b, config.batch_tasks))
+                step = ml.outer_step(model, layer, batch, config, opt)
+                metrics.append((step["objective"], step["per_task"]))
+            runs[key] = params_of(model), metrics
+        assert_params_equal(runs["off"][0], runs["zero"][0])
+        assert runs["off"][1] == runs["zero"][1]
+
+    @pytest.mark.parametrize("trlearner", [False, True])
+    @pytest.mark.parametrize("method", ml.METHODS)
+    def test_non_finite_support_target_names_its_task(self, method, trlearner):
+        config = small_config(method=method, trlearner=trlearner, batch_tasks=4)
+        model, layer, source = build(config)
+        batch = first_batch(source, config)
+        batch.metadata[2].support_y[1] = np.inf
+        opt = ml.make_optimizer(model, layer, config)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ml.MetaLearnError, match="^non-finite inner loss for task 2$"):
+            ml.outer_step(model, layer, batch, config, opt)
+
     def test_outer_gradient_matches_fd(self):
         config = small_config(hidden=(4,), second_order=True, trlearner=True, lam=0.6)
         model, layer, source = build(config, seed=1, shots=3, queries=3)
@@ -387,9 +419,10 @@ class TestOuterStep:
             assert [sum(a is arr for a in consts) for arr in (md.query_x, md.query_y)] == [1, 1]
 
     @pytest.mark.parametrize("family", ["sinusoid", "harmonic"])
-    def test_support_sets_recorded_once_per_task(self, family):
-        # the representation and the adaptation share one constant and, on
-        # a scaled family, one input-scale product per support set
+    def test_support_sets_recorded_once_by_each_phase(self, family):
+        # the representation reads each support x through its own constant,
+        # the adaptation every support set through one stacked constant per
+        # array; on a scaled family each x constant gets one input-scale product
         config = small_config(inner_steps=2)
         model = nn.init_model([1, 8], 3, 0, input_scale=tk.INPUT_SCALES[family])
         layer = rel.SimilarityLayer(config.sim_heads, model.feature_width)
@@ -397,9 +430,13 @@ class TestOuterStep:
         tape = ml._record_batch(model, layer, batch, config)[2].tape
         consts = [node.array for node in tape.nodes if node.op == "const"]
         for md in batch.metadata:
-            assert [sum(a is arr for a in consts) for arr in (md.support_x, md.support_y)] == [1, 1]
+            assert [sum(a is arr for a in consts) for arr in (md.support_x, md.support_y)] == [1, 0]
+        for key in ("support_x", "support_y"):
+            stacked = np.stack([getattr(md, key) for md in batch.metadata])
+            assert sum(a.shape == stacked.shape and np.array_equal(a, stacked) for a in consts) == 1
         scaled = [n for n in tape.nodes if n.op == "scalar-mul" and tape.nodes[n.parents[0]].op == "const"]
-        assert len(scaled) == (0 if family == "sinusoid" else 2 * len(batch))  # support and query x
+        # each representation's and query's x, and the stacked support x
+        assert len(scaled) == (0 if family == "sinusoid" else 2 * len(batch) + 1)
 
     @pytest.mark.parametrize("trlearner", [False, True])
     @pytest.mark.parametrize("matrix_mode", ml.MATRIX_MODES)
@@ -415,6 +452,40 @@ class TestOuterStep:
 
         ml.outer_step(model, layer, first_batch(source, config), config, Capture())
         assert steps == [[name for name, _ in ml.trainable_params(model, layer, config)]]
+
+
+class TestStackedAdaptation:
+    @settings(max_examples=40, deadline=None)
+    @given(method=st.sampled_from(ml.METHODS), n=st.integers(1, 6), steps=st.integers(1, 2),
+           second_order=st.booleans(), family=st.sampled_from(["sinusoid", "harmonic"]),
+           seed=st.integers(0, 2**16))
+    def test_each_task_gets_the_bits_of_its_own_adaptation(self, method, n, steps, second_order,
+                                                           family, seed):
+        # the stacked phase C against one 2-D inner_adapt per task: adapted
+        # parameters and step losses, bit for bit
+        config = ml.MetaConfig(method=method, trlearner=False, hidden=(8, 8), batch_tasks=n,
+                               inner_steps=steps, second_order=second_order, seed=seed)
+        model = nn.init_model([1, 8, 8], n, seed, input_scale=tk.INPUT_SCALES[family])
+        rng = np.random.default_rng(seed)
+        for w, b in model.heads:  # heads away from zero, so every gradient is live
+            w += rng.normal(scale=0.3, size=w.shape)
+            b += rng.normal(scale=0.3, size=b.shape)
+        if method == "metasgd":
+            model.enable_inner_rates(config.alpha)
+            for w, b in [*model.inner_rates["extractor"], model.inner_rates["head"]]:
+                w += rng.uniform(-0.01, 0.01, w.shape)
+                b += rng.uniform(-0.01, 0.01, b.shape)
+        source = tk.TaskSource(family, 5, 4, seed=seed)
+        batch = tk.make_task_batch(source.train_batch(0, 0, n), seed=seed)
+        stacked = ml._adapt_batch(nn.bind(model, ad.Tape()), batch.metadata, config)
+        for i, md in enumerate(batch.metadata):
+            alone = ml.inner_adapt(nn.bind(model, ad.Tape()), i, md, config)
+            for s, a in zip(stacked.extractor + stacked.head, alone.extractor + alone.head):
+                got = s.array if s.shape == a.shape else s.array[i].reshape(a.shape)
+                assert got.tobytes() == a.array.tobytes()
+            assert len(stacked.losses) == len(alone.losses) == steps
+            for s, a in zip(stacked.losses, alone.losses):
+                assert s.shape == (n,) and s.array[i].tobytes() == np.float64(a.array).tobytes()
 
 
 class TestTapeLifetime:
@@ -549,13 +620,16 @@ class TestEvaluate:
                 pytest.raises(ml.MetaLearnError, match="non-finite query loss for an evaluation task"):
             ml.adapted_query_mse(model, task, config)
 
-    @pytest.mark.parametrize("family", ["sinusoid", "harmonic"])
-    @pytest.mark.parametrize("method", ml.METHODS)
-    def test_evaluation_tape_holds_only_read_nodes(self, method, family, monkeypatch):
+    @pytest.mark.parametrize("method, family, steps", [
+        pytest.param(method, family, steps, id=f"{method}-{family}" + ("" if steps else "-0"))
+        for steps in (7, 0) for family in ("sinusoid", "harmonic") for method in ml.METHODS])
+    def test_evaluation_tape_holds_only_read_nodes(self, method, family, steps, monkeypatch):
         # a 16-head model: no training head is bound, and every node but the
         # step losses and the output feeds a later one (the recorded inner
-        # gradients feed the updates; none is built toward the frozen extractor)
-        config = small_config(method=method, batch_tasks=16, hidden=(40, 40), eval_inner_steps=7)
+        # gradients feed the updates; none is built toward the frozen extractor);
+        # without a step no support data or feature is recorded, and only
+        # metasgd's inner rates, bound with the model, go unread
+        config = small_config(method=method, batch_tasks=16, hidden=(40, 40), eval_inner_steps=steps)
         model = nn.init_model([1, 40, 40], 16, seed=0, input_scale=tk.INPUT_SCALES[family])
         if method == "metasgd":
             model.enable_inner_rates(config.alpha)
@@ -570,7 +644,9 @@ class TestEvaluate:
         assert all(a.shape == b.shape and np.array_equal(a, b) for a, b in zip(leaves, want))
         read = {p for node in tape.nodes for p in node.parents}
         unread = [i for i in range(len(tape)) if i not in read]
-        assert [tape.nodes[i].op for i in unread] == ["mse"] * 8 and unread[-1] == len(tape) - 1
+        idle_rates = 6 if method == "metasgd" and steps == 0 else 0
+        assert [tape.nodes[i].op for i in unread] == ["leaf"] * idle_rates + ["mse"] * (steps + 1)
+        assert unread[-1] == len(tape) - 1
 
     def test_evaluate_aggregates(self):
         config = small_config()
