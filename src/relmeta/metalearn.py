@@ -17,8 +17,8 @@ heads of slots 0..N-1 and the support sets stacked, and one
 `broadcast_to` copy of the extractor per task; each task's slice holds
 the bits of its own 2-D `inner_adapt`.  The plain arm scores the N query
 sets in one stacked chain.  The TRLearner arm scores each (adapted
-model, query set) pair through one-task views of the stack (`slice_axis`
-and `reshape`), one `AdaptedModel.predict` per pair.  Both arms sum the
+model, query set) pair through one-task views of the stack (`reshape`
+and `slice_axis`), one `AdaptedModel.predict` per pair.  Both arms sum the
 per-task terms in one reduction.
 Task heads are re-initialized to zero at the start of every meta-batch
 by the training loop: head i belongs to batch slot i, and a fresh batch
@@ -130,7 +130,9 @@ class MetaConfig:
 
 class AdaptedModel:
     """Task-specialized parameters, still connected to the base leaves, and
-    the support loss Var of each step that produced them."""
+    the support loss Var of each step that produced them.  Parameters of a
+    stack of tasks carry a leading task axis; a one-task view of a stack
+    (see `_task_views`) holds no losses."""
 
     __slots__ = ("mv", "extractor", "head", "losses")
 
@@ -246,28 +248,31 @@ def _adapt_batch(mv: nn.ModelVars, metadata: list, config: MetaConfig) -> Adapte
                   [f"task {i}" for i in range(n)])
 
 
-#: most slices one split of a stacked Var makes (see `_split`)
+#: most slices one split of a stacked parameter makes (see `_split`)
 _SPLIT = 4
 
 
-def _split(p: ad.Var) -> list:
-    """The tasks of a stacked Var, one (1, ...) slice each, split off
-    `_SPLIT` groups at a time.  A slice's adjoint is zero-padded to its
-    operand's shape, and the walk keeps a Var's adjoints until it sums
-    them: splitting by groups keeps at most `_SPLIT` padded adjoints of
-    a Var alive, not one per task."""
-    n = p.shape[0]
+def _split(p: ad.Var, rows: int) -> list:
+    """The tasks of a stacked parameter reshaped to `rows` rows per task,
+    one slice of its rows each, split off `_SPLIT` groups at a time.  A
+    slice's adjoint is zero-padded to its operand's shape, and the walk
+    keeps a Var's adjoints until it sums them: splitting by groups keeps
+    at most `_SPLIT` padded adjoints of a Var alive, not one per task."""
+    n = p.shape[0] // rows
     if n == 1:
         return [p]
     size = -(-n // _SPLIT)
-    groups = [ad.slice_axis(p, 0, i, min(n, i + size)) for i in range(0, n, size)]
-    return [v for group in groups for v in _split(group)]
+    groups = [ad.slice_axis(p, 0, i * rows, min(n, i + size) * rows) for i in range(0, n, size)]
+    return [v for group in groups for v in _split(group, rows)]
 
 
 def _task_views(adapted: AdaptedModel) -> list:
-    """Each task of a stacked adaptation as a one-task AdaptedModel, an
-    N=1 stack: its (1, ...) slice of every stacked parameter."""
-    per_task = zip(*[_split(p) for p in adapted.extractor + adapted.head])
+    """Each task of a stacked adaptation as a one-task AdaptedModel: every
+    stacked parameter, reshaped so that its tasks follow each other on
+    the first axis, sliced into the parameter's 2-D shape per task."""
+    base = adapted.mv.extractor_params() + adapted.mv.head_params(0)
+    per_task = zip(*[_split(ad.reshape(p, (p.shape[0] * b.shape[0],) + b.shape[1:]), b.shape[0])
+                     for p, b in zip(adapted.extractor + adapted.head, base)])
     return [AdaptedModel(adapted.mv, list(params[:-2]), list(params[-2:]), []) for params in per_task]
 
 
@@ -384,14 +389,13 @@ def _record_batch(model: nn.MetaModel, layer, batch: tk.TaskBatch, config: MetaC
         views = _task_views(adapted)
         query_losses, tr_losses, terms = [], [], []
         for i, md in enumerate(batch.metadata):
-            # the 2-D query x broadcasts against a view's (1, ...) parameters
             x = tape.constant(md.query_x)
-            y = ad.reshape(tape.constant(md.query_y), (1,) + md.query_y.shape)
+            y = tape.constant(md.query_y)
             lq = task_loss(views[i].predict(x), y)
             ltr = trlearner_loss(views, matrix, i, x, y)
-            query_losses.append(float(lq.array[0]))
-            tr_losses.append(float(ltr.array[0]))
-            terms.append(ad.add(lq, ad.smul(ltr, config.lam)))
+            query_losses.append(float(lq.array))
+            tr_losses.append(float(ltr.array))
+            terms.append(ad.reshape(ad.add(lq, ad.smul(ltr, config.lam)), (1,)))
         terms = ad.concat(terms)
     # one reduction over the per-task terms in both arms: numpy sums 8 or
     # more of them pairwise, so lam=0 keeps the plain arm's order and bits
