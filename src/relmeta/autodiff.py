@@ -233,9 +233,7 @@ def _count(axis, shape) -> int:
 def _f_mse(xs, _):
     # one loss per task over the last two axes; a 2-D operand is one task
     d = xs[0] - xs[1]
-    if d.ndim <= 2:
-        return np.add.reduce(np.square(d), axis=None) / d.size
-    return np.add.reduce(np.square(d), axis=(-2, -1)) / (d.shape[-2] * d.shape[-1])
+    return np.add.reduce(np.square(d), axis=None if d.ndim <= 2 else (-2, -1)) / math.prod(d.shape[-2:])
 
 
 def _per_task(shape: tuple, ndim: int) -> tuple:
