@@ -222,7 +222,7 @@ def _adapt(mv: nn.ModelVars, head: list, x: ad.Var, y: ad.Var, config: MetaConfi
 
 def inner_adapt(mv: nn.ModelVars, i: int, metadata, config: MetaConfig) -> AdaptedModel:
     """`config.inner_steps` gradient steps of head i on task i's meta-data support set."""
-    x, y = mv.constant(metadata.support_x), mv.constant(metadata.support_y)
+    x, y = mv.tape.constant(metadata.support_x), mv.tape.constant(metadata.support_y)
     return _adapt(mv, mv.head_params(i), x, y, config, config.inner_steps,
                   not config.second_order, f"task {i}")
 

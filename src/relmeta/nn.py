@@ -120,17 +120,15 @@ class ModelVars:
     follows the extractor's order and ends with the pair every head shares;
     it is None without inner rates.  `scaled_inputs` maps an input Var to
     its one recorded `input_scale` product, which every forward pass on
-    that Var shares; `inputs` maps an array's id to the array and its one
-    recorded constant (see `constant`).
+    that Var shares.
     """
 
-    __slots__ = ("model", "tape", "named", "extractor", "heads", "rates", "scaled_inputs", "inputs")
+    __slots__ = ("model", "tape", "named", "extractor", "heads", "rates", "scaled_inputs")
 
     def __init__(self, model: MetaModel, tape: ad.Tape, heads=None):
         self.model = model
         self.tape = tape
         self.scaled_inputs = {}
-        self.inputs = {}
         heads = model.heads if heads is None else heads
         self.named = [(name, tape.leaf(arr)) for name, arr in model.named_params(heads)]
         leaves = [v for _, v in self.named]
@@ -139,15 +137,6 @@ class ModelVars:
         self.extractor = pairs[:n_ext]
         self.heads = pairs[n_ext:n_ext + n_heads]
         self.rates = pairs[n_ext + n_heads:] or None
-
-    def constant(self, arr) -> ad.Var:
-        """`arr` as a tape constant, recorded once per array object: the
-        passes that read one task's support set share its Var, and with it
-        its scaled input.  The array is kept, so its id stays unique."""
-        hit = self.inputs.get(id(arr))
-        if hit is None:
-            hit = self.inputs[id(arr)] = (arr, self.tape.constant(arr))
-        return hit[1]
 
     def extractor_params(self) -> list:
         return [v for pair in self.extractor for v in pair]

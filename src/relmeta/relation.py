@@ -44,7 +44,7 @@ def task_representation(mv: nn.ModelVars, metadata) -> ad.Var:
     """Mean extractor feature over the meta-data support points."""
     if metadata.support_x.shape[0] == 0:
         raise RelationError("metadata has no support points")
-    x = mv.constant(metadata.support_x)
+    x = mv.tape.constant(metadata.support_x)
     return ad.mean(nn.forward_features(mv, x), axis=0)
 
 
