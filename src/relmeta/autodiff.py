@@ -7,9 +7,9 @@ or a constant is recorded by `_record`, which takes the node's value from
 the op's `_FORWARD` entry, the same function `Tape.replay` calls.  A
 replay given new arrays for some leaves and constants reruns the recorded
 graph on them, bit for bit what recording it afresh would compute, when
-:func:`check_replayable` accepts the graph.  :class:`BatchedReplay` runs
-that replay for a stack of tasks at once, one `_FORWARD` call per node for
-the whole stack, and gives each task the bits of its own replay.
+:func:`check_replayable` accepts the graph.  :class:`BatchedReplay` reruns
+a graph recorded for a stack of one task on a stack of T, one `_FORWARD`
+call per node, and gives each task the bits of its own replay.
 
 Each op's vector-Jacobian product is written once, against the op set it
 is handed.  :func:`grad` records it, so the gradients it returns are tape
@@ -267,7 +267,8 @@ def _f_broadcast(xs, shape):
 
 
 def _f_sum(xs, extra):
-    return np.add.reduce(xs[0], axis=extra[0])
+    axis, _, keepdims = extra
+    return np.add.reduce(xs[0], axis=axis, keepdims=keepdims)
 
 
 def _f_mean(xs, extra):
@@ -493,8 +494,8 @@ def _norm_axis(op: str, axis, ndim: int):
     return tuple(ax % ndim for ax in axes)
 
 
-def vsum(a: Var, axis=None) -> Var:
-    return _record("sum", (a,), (_norm_axis("sum", axis, a.array.ndim), a.shape))
+def vsum(a: Var, axis=None, keepdims: bool = False) -> Var:
+    return _record("sum", (a,), (_norm_axis("sum", axis, a.array.ndim), a.shape, bool(keepdims)))
 
 
 def mean(a: Var, axis=None) -> Var:
@@ -585,7 +586,7 @@ class _ArrayOps:
     matmul = staticmethod(lambda a, b, ta=False, tb=False: _FORWARD["matmul"]((a, b), (ta, tb)))
     reshape = staticmethod(lambda a, shape: _FORWARD["reshape"]((a,), shape))
     broadcast_to = staticmethod(lambda a, shape: _FORWARD["broadcast"]((a,), shape))
-    vsum = staticmethod(lambda a, axis=None: _FORWARD["sum"]((a,), (_norm_axis("sum", axis, a.ndim), a.shape)))
+    vsum = staticmethod(lambda a, axis=None: _FORWARD["sum"]((a,), (_norm_axis("sum", axis, a.ndim), a.shape, False)))
     concat = staticmethod(lambda xs, axis=0: _FORWARD["concat"](xs, axis))
     slice_axis = staticmethod(lambda a, axis, start, stop: _FORWARD["slice"]((a,), (axis, start, stop)))
     value = staticmethod(lambda v: v)
@@ -599,7 +600,8 @@ def _unbroadcast(ops, g, shape: tuple):
     axes = tuple(range(extra)) + tuple(
         i + extra for i, n in enumerate(shape) if n == 1 and g.shape[i + extra] != 1
     )
-    s = ops.record("sum", (g,), (axes, g.shape)) if axes else g  # vsum, axes already normal
+    # vsum, axes already normal; a same-rank adjoint keeps its axes: no reshape fixes its task count
+    s = ops.record("sum", (g,), (axes, g.shape, not extra)) if axes else g
     if s.shape != shape:
         s = ops.reshape(s, shape)
     return s
@@ -711,8 +713,8 @@ def _expand(ops, g, axis, in_shape):
 
 
 def _v_sum(ops, out, ins, g, extra, need):
-    axis, in_shape = extra
-    return (_expand(ops, g, axis, in_shape),)
+    axis, in_shape, keepdims = extra
+    return (ops.broadcast_to(g, in_shape) if keepdims else _expand(ops, g, axis, in_shape),)
 
 
 def _v_mean(ops, out, ins, g, extra, need):
@@ -999,64 +1001,45 @@ def check_replayable(tape: Tape, inputs) -> None:
             raise AutodiffError(f"node {idx} ({node.op}) holds a recorded value a replay cannot recompute")
 
 
-#: ops whose `_FORWARD` entry is elementwise, or a product over the last two
-#: axes, and so computes a stack of tasks as it computes one task
-_BROADCASTING = frozenset((
-    "add", "sub", "elementwise-mul", "div", "scalar-mul", "scalar-add", "matmul", "affine",
-    "affine-tanh", "mse-grad", "tanh-grad", "transpose", "tanh", "sin", "cos", "square",
-    "rsqrt", "sgd-step",
-))
+#: ops whose value fixes its operands' shapes, or mixes their entries across
+#: the leading axis: on a stack, a batched replay cannot compute them
+_UNSTACKABLE = frozenset(("reshape", "broadcast", "concat", "slice", "transpose",
+                          "cosine-similarity", "cosine-grad"))
 
 
-def _stacked(shape: tuple) -> tuple:
-    """The layout of a node of shape `shape` in a batched replay: the task
-    axis, then the shape padded to two axes, so that a stacked bias or
-    scalar broadcasts against a stacked matrix as the unstacked ones do."""
-    return (-1,) + (1,) * (2 - len(shape)) + shape
-
-
-def _b_reduce(xs, extra):
-    # sum, or mean with its count; for sum the count is None
-    axes, count, shape = extra
-    total = np.add.reduce(xs[0], axis=axes)
-    return (total if count is None else total / count).reshape(shape)
-
-
-def _b_mse(xs, _):
-    return _f_mse(xs, None).reshape(-1, 1, 1)
-
-
-def _batched_op(idx: int, nodes: list):
-    """(function, extra) computing node `idx` on stacks: its `_FORWARD`
-    entry, or for a reduction the same reduction over the axes past the task
-    axis, its result laid out as `_stacked` says."""
-    node = nodes[idx]
-    if node.op in _BROADCASTING:
-        return _FORWARD[node.op], node.extra
-    if node.op == "mse":
-        return _b_mse, None
-    if node.op in ("sum", "mean"):
-        axis, in_shape = node.extra
-        offset = 3 - len(in_shape)
-        axes = (1, 2) if axis is None else tuple(a + offset for a in axis)
-        count = _count(axis, in_shape) if node.op == "mean" else None
-        return _b_reduce, (axes, count, _stacked(node.array.shape))
-    raise AutodiffError(f"node {idx} ({node.op}) has no batched replay")
+def _stack_error(node: Node, nodes: list, stacked: set):
+    """Why a batched replay cannot compute `node`, whose stacked parents are
+    in `stacked`, for a stack of tasks; None when it can."""
+    op, shape = node.op, node.array.shape
+    if op in _UNSTACKABLE:
+        return "fixes its operands' shapes"
+    if op in ("sum", "mean") and (node.extra[0] is None or 0 in node.extra[0]):
+        return "reduces over the task axis"
+    if not shape or shape[0] != 1:
+        return "has no leading task axis of length 1"
+    if op in ("matmul", "affine", "affine-tanh") and len(shape) < 3:
+        return "multiplies over the task axis"
+    # a stacked operand of another rank would broadcast its task axis onto
+    # another axis; reductions, a per-task loss and its adjoint keep it first
+    operands = node.parents[1:] if op == "mse-grad" else node.parents
+    ranks = {nodes[p].array.ndim for p in operands if p in stacked}
+    if op not in ("sum", "mean", "mse") and ranks - {len(shape)}:
+        return "broadcasts a stacked operand's task axis onto another axis"
 
 
 class BatchedReplay:
-    """A tape replayed on a stack of T tasks at once.
+    """A tape recorded for a stack of one task, replayed on a stack of T.
 
-    `inputs` are leaf or constant indices; a call hands each one a stack of
-    T arrays, (T,) + its node's shape.  Every node that depends on an input
-    and that an output reads is computed once for the whole stack by its
-    `_FORWARD` entry (a reduction sums over the axes past the task axis),
-    so each task's slice holds the bits `Tape.replay` computes for that
-    task alone: elementwise ops and matrix products work slice by slice.
-    Nodes that depend on no input keep their recorded values.  Each stacked
-    value is dropped after its last reader, so a call keeps alive only the
-    values still to be read and the stacks at `outputs`, which it returns
-    as (T,) + node shape; every output must depend on an input.
+    `inputs` are leaf or constant indices, and a call hands each one its
+    node's value for T tasks, (T, ...) for (1, ...).  Every node that
+    depends on an input and that an output reads is computed once for the
+    stack by its `_FORWARD` entry and recorded `extra`; no op mixes tasks,
+    so each task's slice holds the bits `Tape.replay` computes for it
+    alone.  The other nodes keep their recorded values.  A node that would
+    mix tasks or fix their count (see `_stack_error`) is rejected here.
+    Each stacked value is dropped after its last reader, so a call keeps
+    alive only the values still to be read and the stacks at `outputs`,
+    which it returns; every output must depend on an input.
 
     `width` is the largest per-task size of a stacked node, in floats: a
     stack of T tasks holds at most T·width floats in one value.
@@ -1079,12 +1062,12 @@ class BatchedReplay:
         for idx, node in enumerate(nodes):
             if idx not in read or not any(p in stacked for p in node.parents):
                 continue
-            if node.array.ndim > 2:
-                raise AutodiffError(f"node {idx} ({node.op}) has more than two axes")
+            if error := _stack_error(node, nodes, stacked):
+                raise AutodiffError(f"node {idx} ({node.op}) {error}: a batched replay cannot stack it")
             stacked.add(idx)
             for p in node.parents:
                 last[p] = len(steps)
-            steps.append((idx, *_batched_op(idx, nodes), node.parents, []))
+            steps.append((idx, _FORWARD[node.op], node.extra, node.parents, []))
         for idx in self.outputs:
             if idx not in stacked:
                 raise AutodiffError(f"replay: output node {idx} depends on no input")
@@ -1105,14 +1088,14 @@ class BatchedReplay:
             stack = np.asarray(stack, dtype=np.float64)
             if tasks is None:
                 tasks = stack.shape[0] if stack.ndim else -1
-            if stack.shape != (tasks,) + shape:
+            if stack.shape != (tasks,) + shape[1:]:
                 raise ShapeError(f"replay: node {idx} holds shape {shape}, got a stack of {stack.shape}")
-            values[idx] = stack.reshape(_stacked(shape))
+            values[idx] = stack
         for idx, fn, extra, parents, dead in self.steps:
             values[idx] = fn([values[p] for p in parents], extra)
             for p in dead:
                 values[p] = None
-        return [values[idx].reshape((tasks,) + self.values[idx].shape) for idx in self.outputs]
+        return [values[idx] for idx in self.outputs]
 
 
 def grad_through_update(params, inner_grads, alpha=0.01, first_order=False, rates=None):

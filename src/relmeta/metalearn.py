@@ -25,12 +25,12 @@ by the training loop: head i belongs to batch slot i, and a fresh batch
 carries fresh tasks.
 
 Evaluation adapts a zero head on each task and scores its query set.
-`evaluate` records that adaptation once per support and query shape, with
-its inner gradients on the tape, and computes its tasks a chunk at a time
-by one batched replay of the tape on the chunk's data, stacked on a task
-axis: the same `_FORWARD` calls, and so the same bits, as adapting each
-task on its own tape.  A lone `adapted_query_mse` call adapts with
-first-order values and records no gradient.
+It records that adaptation as phase C does, as a stack of one task, once
+per support and query shape, with its inner gradients on the tape, and
+computes its tasks a chunk at a time by one batched replay of the tape on
+the chunk's data, stacked on the task axis: the same `_FORWARD` calls,
+and so the same bits, as adapting each task on its own tape.  A lone
+`adapted_query_mse` call is a chunk of one task.
 """
 
 from __future__ import annotations
@@ -174,13 +174,13 @@ def _adapt(mv: nn.ModelVars, head: list, x: ad.Var, y: ad.Var, config: MetaConfi
            steps: int, first_order: bool, label) -> AdaptedModel:
     """`steps` gradient steps from the base extractor and `head` on the support set `x`, `y`.
 
-    One task has a 2-D head, (d, 1) and (1,), and support set.  A stack of
-    N tasks puts a leading task axis on both: (N, d, 1) and (N, 1, 1) heads,
-    (N, k, ·) support arrays.  Each of its tasks then reads its own copy
-    of the extractor, one `broadcast_to` per parameter, and the inner
-    gradient is seeded by the vector of per-task losses; no op mixes
-    tasks, so each task gets the bits of its own 2-D adaptation, and the
-    outer gradient sums the tasks' extractor adjoints in one reduction.
+    Training and evaluation adapt a stack of N tasks: (N, d, 1) and
+    (N, 1, 1) heads, (N, k, ·) support arrays; only `inner_adapt` adapts a
+    2-D head.  Each task of a stack reads its own copy of the extractor,
+    one `broadcast_to` per parameter, and the inner gradient is seeded by
+    the vector of per-task losses; no op mixes tasks, so each task gets the
+    bits of its own 2-D adaptation, and the outer gradient sums the tasks'
+    extractor adjoints in one reduction.
 
     maml/metasgd adapt extractor and head; anil adapts the head only and
     reads the extractor frozen, so its support features are computed once,
@@ -188,8 +188,7 @@ def _adapt(mv: nn.ModelVars, head: list, x: ad.Var, y: ad.Var, config: MetaConfi
     recorded and the returned parameters keep their path alive for the
     outer backward; first order computes them as bare arrays, which the
     `sgd-step` nodes hold: no VJP and no gradient node is recorded.
-    `label` names the adaptation in the non-finite-loss error; for a stack
-    it is a list naming each task.
+    `label` is a list naming each task in the non-finite-loss error.
     """
     head_only = config.method == "anil"
     extractor = mv.extractor_params()
@@ -205,12 +204,9 @@ def _adapt(mv: nn.ModelVars, head: list, x: ad.Var, y: ad.Var, config: MetaConfi
         if step == 0 or not head_only:
             feats = nn.forward_features_with(mv, frozen + cur[:-2], x)
         loss = task_loss(nn.head_apply(cur[-2:], feats), y)
-        if lead:
-            bad = np.flatnonzero(~np.isfinite(loss.array))
-            if bad.size:
-                raise MetaLearnError(f"non-finite inner loss for {label[bad[0]]}")
-        elif not math.isfinite(loss.array):  # a scalar: np.isfinite costs a ufunc call
-            raise MetaLearnError(f"non-finite inner loss for {label}")
+        bad = np.flatnonzero(~np.isfinite(loss.array))
+        if bad.size:
+            raise MetaLearnError(f"non-finite inner loss for {label[bad[0]]}")
         losses.append(loss)
         cur = ad.grad_through_update(
             cur, ad.grad(loss, cur, record=not first_order), alpha=config.alpha,
@@ -224,7 +220,7 @@ def inner_adapt(mv: nn.ModelVars, i: int, metadata, config: MetaConfig) -> Adapt
     """`config.inner_steps` gradient steps of head i on task i's meta-data support set."""
     x, y = mv.tape.constant(metadata.support_x), mv.tape.constant(metadata.support_y)
     return _adapt(mv, mv.head_params(i), x, y, config, config.inner_steps,
-                  not config.second_order, f"task {i}")
+                  not config.second_order, [f"task {i}"])
 
 
 def _stack(metadata: list, key: str) -> np.ndarray:
@@ -442,38 +438,25 @@ _EVAL_TASK = "an evaluation task"
 _CHUNK_FLOATS = 12800
 
 
-def _record_eval(model: nn.MetaModel, arrays: list, config: MetaConfig, first_order: bool):
-    """`_adapt` from a zero head on the support set, then the query loss, on a
-    fresh tape; returns the data constants, the step losses and the loss.
-    The support set's two constants lead the query set's, and are recorded
-    only when a step reads them.
-
-    Its leaves are the extractor, the inner rates and the zero head: the
-    tape binds that head in place of the training heads, which belong to
-    training batch slots."""
-    tape = ad.Tape()
-    d = model.feature_width
-    mv = nn.bind(model, tape, heads=[(np.zeros((d, 1)), np.zeros(1))])
-    steps = config.inner_steps if config.eval_inner_steps is None else config.eval_inner_steps
-    data = [tape.constant(a) for a in (arrays if steps else arrays[2:])]
-    x, y = data[:2] if steps else (None, None)
-    adapted = _adapt(mv, mv.head_params(0), x, y, config, steps, first_order, _EVAL_TASK)
-    return data, adapted.losses, task_loss(adapted.predict(data[-2]), data[-1])
-
-
 def _eval_replay(model: nn.MetaModel, shapes: tuple, config: MetaConfig) -> ad.BatchedReplay:
-    """The evaluation adaptation for tasks of these data shapes, recorded on
-    zero data with its inner gradients on the tape, as a batched replay of
-    its data constants to the step losses and the query loss.  The
-    recorded nodes make the `_FORWARD` calls that the first-order values
-    walk makes, so each task's slice of a replay carries the bits that
-    adapting that task on its own tape would."""
-    data, steps, loss = _record_eval(model, [np.zeros(s) for s in shapes], config, False)
-    return ad.BatchedReplay(data[0].tape, [v.index for v in data], [v.index for v in steps + [loss]])
+    """`_adapt` from a zero head, then the query loss, recorded with its inner
+    gradients as a stack of one task of these data shapes: a batched replay
+    of the data constants (the support set's, if a step reads them, then the
+    query set's) to the step losses and the query loss.  Its nodes make the
+    values walk's `_FORWARD` calls, so each task's slice carries the bits of
+    its own first-order tape.  The zero head stands in for the training heads."""
+    tape = ad.Tape()
+    mv = nn.bind(model, tape, heads=[(np.zeros((1, model.feature_width, 1)), np.zeros((1, 1, 1)))])
+    steps = config.inner_steps if config.eval_inner_steps is None else config.eval_inner_steps
+    data = [tape.constant(np.zeros((1,) + s)) for s in (shapes if steps else shapes[2:])]
+    x, y = data[:2] if steps else (None, None)
+    adapted = _adapt(mv, mv.head_params(0), x, y, config, steps, False, [_EVAL_TASK])
+    loss = task_loss(adapted.predict(data[-2]), data[-1])
+    return ad.BatchedReplay(tape, [v.index for v in data], [v.index for v in adapted.losses + [loss]])
 
 
 class _EvalChunks:
-    """The tasks of one `evaluate` call, adapted a chunk at a time.
+    """The tasks of one `evaluate` call, or a lone task, adapted a chunk at a time.
 
     The call for a task whose loss is not yet known replays its shape's
     recorded adaptation on it and on the next tasks of that shape, in task
@@ -535,18 +518,11 @@ def adapted_query_mse(model: nn.MetaModel, task: tk.TaskInstance, config: MetaCo
 
     Training heads belong to training batch slots, so evaluation always
     starts from a zero head (matching how heads begin every meta-batch).
-    Updates here never flow back, so the first-order values suffice: alone,
-    the call records the adaptation with its inner gradients computed as
-    bare arrays.  Within `evaluate`, `chunks` holds its tasks, and the call
-    reads the task's loss off a batched replay of its chunk: the same bits.
+    The call reads the task's loss off a batched replay of its chunk (see
+    `_EvalChunks`): within `evaluate`, `chunks` holds its tasks; alone, the
+    task is a chunk of its own.
     """
-    if chunks is not None:
-        return chunks.loss(model, task, config)
-    arrays = (task.support_x, task.support_y, task.query_x, task.query_y)
-    loss = float(_record_eval(model, arrays, config, True)[2].array)
-    if not math.isfinite(loss):
-        raise MetaLearnError(f"non-finite query loss for {_EVAL_TASK}")
-    return loss
+    return (chunks or _EvalChunks([task])).loss(model, task, config)
 
 
 def summarize(values: list) -> tuple:

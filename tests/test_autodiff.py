@@ -646,7 +646,7 @@ def fused_cases(draw):
     t = draw(st.integers(1, 3))  # tasks on a leading axis
     kind = draw(st.sampled_from(["matmul", "affine", "affine-tanh", "mse", "tanh-vjp", "cosine-vjp",
                                  "add-n", "sgd-step", "sgd-step-rates", "affine-tasks",
-                                 "affine-tanh-tasks", "mse-tasks", "sgd-step-tasks"]))
+                                 "affine-tanh-tasks", "mse-tasks", "sgd-step-tasks", "sum-keepdims"]))
     if kind in ("affine-tasks", "affine-tanh-tasks"):
         # a stack of batches, with weights per task or 2-D ones every task shares
         per_task = draw(st.booleans())
@@ -662,6 +662,11 @@ def fused_cases(draw):
         return (kind, [(t, n, m), (t, n, m), (n, m)],
                 lambda vs: ad.grad_through_update([vs[0]], [ad.sin(vs[1])], rates=[vs[2]])[0],
                 lambda vs: ad.sub(vs[0], ad.mul(vs[2], ad.sin(vs[1]))))
+    if kind == "sum-keepdims":  # as a same-rank bias adjoint sums a stack's batch axis
+        axes = draw(st.sampled_from([(0,), (1,), (2,), (1, 2), (0, 2), None]))
+        kept = tuple(1 if axes is None or i in axes else s for i, s in enumerate((t, n, m)))
+        return (f"sum-keepdims({axes})", [(t, n, m)], lambda vs: ad.vsum(vs[0], axes, keepdims=True),
+                lambda vs: ad.reshape(ad.vsum(vs[0], axes), kept))
     if kind == "matmul":
         ta, tb = draw(st.booleans()), draw(st.booleans())
         shapes = [(k, n) if ta else (n, k), (m, k) if tb else (k, m)]
@@ -807,6 +812,17 @@ class TestFusedOpProperties:
         ad.grad(ad.vsum(ad.concat([ad.reshape(g, (-1,)) for g in grads])), [h, w, b])
         assert "transpose" not in {n.op for n in tape.nodes}
 
+    def test_a_stacked_bias_adjoint_is_one_sum_that_keeps_its_axes(self):
+        # one adjoint per task, so the recording fixes no task count
+        rng = np.random.default_rng(3)
+        tape = ad.Tape()
+        h, w, b = (tape.leaf(rng.normal(size=s)) for s in [(3, 5, 2), (3, 2, 4), (3, 1, 4)])
+        loss = ad.mse(ad.affine(h, w, b), tape.constant(rng.normal(size=(3, 5, 4))))
+        before = len(tape)
+        (gb,) = ad.grad(loss, [b])
+        assert [n.op for n in tape.nodes[before:]] == ["const", "mse-grad", "sum"]
+        assert tape.nodes[gb.index].extra == ((1,), (3, 5, 4), True) and gb.shape == (3, 1, 4)
+
 
 # ---------------------------------------------------------------------------
 # one recording path
@@ -881,6 +897,7 @@ PUBLIC_OPS = {
     "reshape": ("reshape", lambda o: ad.reshape(o.a, (6,))),
     "broadcast_to": ("broadcast", lambda o: ad.broadcast_to(o.c, (3, 2))),
     "vsum": ("sum", lambda o: ad.vsum(o.a, axis=0)),
+    "vsum(keepdims)": ("sum", lambda o: ad.vsum(o.a, axis=1, keepdims=True)),
     "mean": ("mean", lambda o: ad.mean(o.a)),
     "tanh": ("tanh", lambda o: ad.tanh(o.a)),
     "relu": ("relu", lambda o: ad.relu(o.a)),
@@ -1229,11 +1246,15 @@ class TestValuesWalk:
 
 def two_step_adaptation(x_arr, y_arr):
     """Two recorded inner steps of a tanh MLP on the constants x, y, then the
-    loss at the adapted parameters; returns (tape, x, y, step losses, loss)."""
+    loss at the adapted parameters; returns (tape, x, y, step losses, loss).
+    Data with a leading task axis, (1, k, 1), is a stack of one task: as
+    `metalearn` records one, it adapts its own copies of the parameters."""
     tape = ad.Tape()
     rng = np.random.default_rng(2)
     params = [tape.leaf(rng.normal(size=s)) for s in [(1, 6), (6,), (6, 1), (1,)]]
     x, y = tape.constant(x_arr), tape.constant(y_arr)
+    if x.array.ndim == 3:
+        params = [ad.broadcast_to(p, (1,) * (3 - p.array.ndim) + p.shape) for p in params]
     losses = []
     for _ in range(2):
         pred = ad.affine(ad.affine_tanh(x, params[0], params[1]), params[2], params[3])
@@ -1296,24 +1317,31 @@ class TestReplay:
 
 
 def stacked_case(rng, n, m):
-    """A graph of every op kind a batched replay computes, on two (n, m)
-    constants: the reductions over each axis, 1-D and 0-D values broadcast
-    against matrices, transposed products and a recorded gradient step."""
+    """A graph of every op kind a batched replay computes, recorded for a
+    stack of one task on two (1, n, m) constants: reductions over each axis
+    past the task axis, with and without their summed axes kept, shared 2-D
+    weights and biases, transposed products, and recorded gradient steps
+    toward per-task parameter copies, one with MetaSGD's shared 2-D rates."""
     tape = ad.Tape()
     w, b = tape.leaf(rng.normal(size=(m, m))), tape.leaf(rng.normal(size=(m,)))
-    x, y = tape.constant(np.zeros((n, m))), tape.constant(np.zeros((n, m)))
+    rw, rb = (tape.leaf(rng.uniform(0.5, 1.5, size=s)) for s in [(m, m), (m,)])
+    x, y = tape.constant(np.zeros((1, n, m))), tape.constant(np.zeros((1, n, m)))
     h = ad.affine_tanh(ad.smul(x, 1.5), w, b)
-    s0, s1, s_all = ad.vsum(h, axis=0), ad.vsum(h, axis=1), ad.vsum(h)
-    m0, m_all = ad.mean(ad.mul(h, y), axis=(0, 1)), ad.mean(ad.sub(h, y), axis=1)
-    gram = ad.matmul(h, y, ta=True)  # (m, m)
-    outer = ad.matmul(ad.transpose(h), ad.sadd(y, 0.5), tb=False)
-    mixed = ad.add_n([ad.mul(s0, b), ad.div(s_all, ad.sadd(ad.square(m0), 1.0)), b])  # (m,)
-    pred = ad.affine(h, ad.sub(gram, ad.smul(outer, 0.1)), mixed)
+    s1, s2 = ad.vsum(h, axis=1), ad.vsum(h, axis=2, keepdims=True)  # (1, m), (1, n, 1)
+    s12 = ad.vsum(h, axis=(1, 2), keepdims=True)
+    m12, m2 = ad.mean(ad.mul(h, y), axis=(1, 2)), ad.mean(ad.sub(h, y), axis=2)  # (1,), (1, n)
+    gram = ad.matmul(h, y, ta=True)  # (1, m, m)
+    outer = ad.matmul(ad.sadd(y, 0.5), h, tb=True)  # (1, n, n)
+    mixed = ad.add_n([ad.mul(s2, b), ad.div(s12, ad.sadd(ad.square(h), 1.0)), b])  # (1, n, m)
+    pred = ad.affine(h, ad.sub(gram, ad.smul(w, 0.1)), ad.vsum(mixed, axis=1, keepdims=True))
     scaled = ad.mul(ad.tanh(pred), ad.rsqrt(ad.sadd(ad.square(pred), 1.0)))
-    loss = ad.mse(ad.affine(h, w, b), y)  # its gradient records no reshape or broadcast
-    (gw,) = ad.grad(loss, [w])
-    step = ad.grad_through_update([w], [gw], alpha=0.3)[0]
-    outputs = [loss, s1, m_all, scaled, step, ad.mean(ad.sin(ad.cos(s0)))]
+    wt, bt = ad.broadcast_to(w, (1, m, m)), ad.broadcast_to(b, (1, 1, m))
+    loss = ad.mse(ad.affine(h, wt, bt), y)  # one loss per task
+    gw, gb = ad.grad(loss, [wt, bt])
+    steps = ad.grad_through_update([wt, bt], [gw, gb], alpha=0.3)
+    rated = ad.grad_through_update([wt, bt], [gw, gb], rates=[rw, rb])
+    outputs = [loss, s1, m12, m2, ad.vsum(outer, axis=2), scaled, *steps, *rated,
+               ad.mean(ad.sin(ad.cos(s1)), axis=1)]
     return tape, (x.index, y.index), outputs
 
 
@@ -1329,23 +1357,27 @@ class TestBatchedReplay:
         stacks = [rng.normal(size=(tasks, n, m)) for _ in inputs]
         got = ad.BatchedReplay(tape, inputs, [v.index for v in outputs])(stacks)
         for t in range(tasks):
-            alone = tape.replay({idx: stack[t] for idx, stack in zip(inputs, stacks)})
+            alone = tape.replay({idx: stack[t:t + 1] for idx, stack in zip(inputs, stacks)})
             for v, stacked in zip(outputs, got):
-                assert stacked.shape == (tasks,) + v.shape
-                assert stacked[t].tobytes() == alone[v.index].tobytes()
+                assert stacked.shape == (tasks,) + v.shape[1:]
+                assert stacked[t:t + 1].tobytes() == alone[v.index].tobytes()
 
     def test_a_recorded_adaptation_replays_on_every_task(self):
-        tape, x, y, losses, loss = two_step_adaptation(np.ones((5, 1)), np.zeros((5, 1)))
+        # each slice: the stack of one replayed on that task, and the bits
+        # of the 2-D adaptation recorded afresh on it
+        tape, x, y, losses, loss = two_step_adaptation(np.ones((1, 5, 1)), np.zeros((1, 5, 1)))
         rng = np.random.default_rng(0)
         xs, ys = rng.normal(size=(4, 5, 1)), rng.normal(size=(4, 5, 1))
         outputs = [lv.index for lv in losses] + [loss.index]
         got = ad.BatchedReplay(tape, (x.index, y.index), outputs)([xs, ys])
         for t in range(4):
-            fresh = two_step_adaptation(xs[t], ys[t])[0]
-            assert [v[t].tobytes() for v in got] == [fresh.nodes[i].array.tobytes() for i in outputs]
+            alone = tape.replay({x.index: xs[t:t + 1], y.index: ys[t:t + 1]})
+            assert [v[t:t + 1].tobytes() for v in got] == [alone[i].tobytes() for i in outputs]
+            _, _, _, flat_losses, flat_loss = two_step_adaptation(xs[t], ys[t])
+            assert [v[t].tobytes() for v in got] == [v.array.tobytes() for v in flat_losses + [flat_loss]]
 
     def test_rejects_what_it_cannot_stack(self):
-        tape, x, y, losses, loss = two_step_adaptation(np.ones((5, 1)), np.zeros((5, 1)))
+        tape, x, y, losses, loss = two_step_adaptation(np.ones((1, 5, 1)), np.zeros((1, 5, 1)))
         with pytest.raises(ad.AutodiffError, match="not a leaf or constant"):
             ad.BatchedReplay(tape, [loss.index], [loss.index])
         with pytest.raises(ad.AutodiffError, match="a replay cannot recompute"):
@@ -1353,17 +1385,37 @@ class TestBatchedReplay:
         with pytest.raises(ad.AutodiffError, match="depends on no input"):
             ad.BatchedReplay(tape, [x.index, y.index], [tape.leaves[0]])
         replay = ad.BatchedReplay(tape, [x.index, y.index], [loss.index])
-        with pytest.raises(ad.ShapeError, match=r"\(5, 1\)"):
+        with pytest.raises(ad.ShapeError, match=r"\(1, 5, 1\)"):
             replay([np.ones((2, 4, 1)), np.ones((2, 5, 1))])
         with pytest.raises(ad.ShapeError):
             replay([np.ones((2, 5, 1)), np.ones((3, 5, 1))])  # unequal task counts
         with pytest.raises(ad.AutodiffError, match="2 input stacks"):
             replay([np.ones((2, 5, 1))])
-        for build in (lambda v: ad.concat([v, v]), lambda v: ad.slice_axis(v, 0, 0, 1),
-                      lambda v: ad.reshape(v, (2, 1)), lambda v: ad.cosine_similarity(v, v),
-                      lambda v: ad.sin(ad.reshape(v, (1, 1, 2)))):
-            t = ad.Tape()
-            c = t.constant([1.0, -1.0])
-            out = build(c)
-            with pytest.raises(ad.AutodiffError, match="batched replay|more than two axes"):
-                ad.BatchedReplay(t, [c.index], [out.index])
+        flat, fx, fy, _, flat_loss = two_step_adaptation(np.ones((5, 1)), np.zeros((5, 1)))
+        with pytest.raises(ad.AutodiffError, match="no leading task axis"):
+            ad.BatchedReplay(flat, [fx.index, fy.index], [flat_loss.index])
+
+    @pytest.mark.parametrize("kind, build", [
+        ("reshape", lambda t, c: ad.reshape(c, (1, 4))),
+        ("broadcast", lambda t, c: ad.broadcast_to(c, (1, 2, 2))),
+        ("concat", lambda t, c: ad.concat([c, c], axis=1)),
+        ("slice", lambda t, c: ad.slice_axis(c, 2, 0, 1)),
+        ("transpose", lambda t, c: ad.transpose(ad.mean(ad.vsum(c, axis=1, keepdims=True), axis=2))),
+        ("cosine", lambda t, c: ad.cosine_similarity(ad.vsum(c, axis=(1, 2)), ad.mean(c, axis=(1, 2)))),
+        ("sum over the task axis", lambda t, c: ad.vsum(c, axis=0)),
+        ("kept sum over the task axis", lambda t, c: ad.vsum(c, axis=(0, 2), keepdims=True)),
+        ("sum over every axis", lambda t, c: ad.vsum(c)),
+        ("mean over the task axis", lambda t, c: ad.mean(ad.vsum(c, axis=1, keepdims=True), axis=0)),
+        ("mean over every axis", lambda t, c: ad.mean(c)),
+        ("no leading axis of length 1", lambda t, c: ad.add(c, t.leaf(np.ones((3, 1, 1))))),
+        ("a 2-D loss", lambda t, c: ad.mse(ad.vsum(c, axis=2), ad.mean(c, axis=2))),
+        ("a task axis broadcast onto another", lambda t, c: ad.add(ad.vsum(c, axis=2), t.leaf(np.ones((1, 1, 2))))),
+        ("a product over the task axis", lambda t, c: ad.matmul(ad.vsum(c, axis=2), t.leaf(np.ones((2, 3))))),
+    ])
+    def test_rejects_each_kind_of_node_it_cannot_stack(self, kind, build):
+        # at construction, whatever the shape of the recorded value
+        t = ad.Tape()
+        c = t.constant(np.arange(1.0, 5.0).reshape(1, 2, 2))
+        out = build(t, c)
+        with pytest.raises(ad.AutodiffError, match="cannot stack"):
+            ad.BatchedReplay(t, [c.index], [out.index])
