@@ -24,11 +24,13 @@ Each node also records, as an int bitmask, which leaves it depends on
 (leaf k sets bit k; constants are 0).  A reverse walk builds adjoints only
 toward parents whose masks allow them to depend on one of the nodes it was
 asked for, so no VJP is recorded toward data, masks or a frozen sub-graph.
-A few fused ops (`matmul` with transposed operands, `affine`, `affine-tanh`
-for one tanh layer, `mse`, the n-ary `add` of `add_n`, the `sgd-step`
-update and the tanh and cosine VJPs) stand for chains of primitives: each
-computes the same float expression the chain did, in one node, and its
-VJP records the nodes the chain's VJPs recorded.
+It keeps one adjoint per node: a further contribution is added to it on
+arrival, so what a walk holds grows with the nodes it reaches, not with
+their consumers.  A few fused ops (`matmul` with transposed operands,
+`affine`, `affine-tanh` for one tanh layer, `mse`, the n-ary `add` of
+`add_n`, the `sgd-step` update and the tanh and cosine VJPs) stand for
+chains of primitives: each computes the same float expression the chain
+did, in one node, and its VJP records the nodes the chain's VJPs recorded.
 
 A tape is single-owner: record and differentiate from one execution
 context.  Independent tapes are cheap; the training loop makes a fresh one
@@ -563,8 +565,8 @@ def detach(a: Var) -> Var:
 class _TapeOps:
     """The VJP builders' ops in `grad`'s recording walk: each records a node."""
 
-    record, add_n, add, sub, mul, div, smul, matmul, transpose, reshape = map(
-        staticmethod, (_record, add_n, add, sub, mul, div, smul, matmul, transpose, reshape))
+    record, add, sub, mul, div, smul, matmul, transpose, reshape = map(
+        staticmethod, (_record, add, sub, mul, div, smul, matmul, transpose, reshape))
     broadcast_to, vsum, sin, cos, square, rsqrt, concat, slice_axis = map(
         staticmethod, (broadcast_to, vsum, sin, cos, square, rsqrt, concat, slice_axis))
     value = staticmethod(lambda v: v.array)
@@ -581,7 +583,6 @@ class _ArrayOps:
         staticmethod(lambda *xs, kind=kind: _FORWARD[kind](xs, None))
         for kind in ("add", "sub", "elementwise-mul", "div", "transpose", "sin", "cos", "square", "rsqrt"))
     record = staticmethod(lambda op, xs, extra=None: _FORWARD[op](xs, extra))
-    add_n = staticmethod(lambda xs: _FORWARD["add"](xs, None))
     smul = staticmethod(lambda a, c: _FORWARD["scalar-mul"]((a,), c))
     matmul = staticmethod(lambda a, b, ta=False, tb=False: _FORWARD["matmul"]((a, b), (ta, tb)))
     reshape = staticmethod(lambda a, shape: _FORWARD["reshape"]((a,), shape))
@@ -866,11 +867,13 @@ def _walk(output: Var, wanted: list, record: bool = True) -> dict:
     share, as a node that depends on a wanted node does; when a wanted node
     depends on no leaf, every adjoint is built.  It visits only the indices
     that hold an adjoint, in strict descending order, so contributions arrive
-    in a deterministic order independent of graph construction details;
-    several contributions to one node are summed by one n-ary `add` node, in
-    arrival order, when the walk reaches it.  Wanted nodes the walk never
-    reaches get recorded zero constants, marked so downstream consumers
-    can tell them from detached values.
+    in a deterministic order independent of graph construction details.
+    Each contribution to a node that already holds one is added to it on
+    arrival, one binary `add`: the left fold ((c0 + c1) + c2) + ... of an
+    n-ary `add`, so the walk holds one adjoint per node it has reached, not
+    every contribution.  Wanted nodes the walk never reaches get recorded
+    zero constants, marked so downstream consumers can tell them from
+    detached values.
 
     With `record` false it runs on bare ndarrays (`_ArrayOps`): the same
     floats, no Var and no node, and it returns the bare adjoints of the
@@ -895,8 +898,8 @@ def _walk(output: Var, wanted: list, record: bool = True) -> dict:
     if need is None or not wanted_set:
         common = 0
     found: dict[int, Var] = {}
-    # index -> its one adjoint contribution, or the list of them; `pending`
-    # is a max-heap (negated indices) of the keys, popped in descending order
+    # index -> the sum of its adjoint contributions so far; `pending` is a
+    # max-heap (negated indices) of the keys, popped in descending order
     adjoint: dict = {}
     pending: list[int] = []
     out_mask = nodes[output.index].mask
@@ -906,8 +909,6 @@ def _walk(output: Var, wanted: list, record: bool = True) -> dict:
     while pending:
         idx = -heappop(pending)
         g = adjoint.pop(idx)
-        if type(g) is list:
-            g = ops.add_n(g)
         if idx in wanted_set:
             found[idx] = g
             continue
@@ -932,10 +933,8 @@ def _walk(output: Var, wanted: list, record: bool = True) -> dict:
             if cur is None:
                 adjoint[parent] = gp
                 heappush(pending, -parent)
-            elif type(cur) is list:
-                cur.append(gp)
             else:
-                adjoint[parent] = [cur, gp]
+                adjoint[parent] = ops.add(cur, gp)
     if record:
         for idx in dict.fromkeys(wanted):  # in order, a repeated index once
             if idx not in found:
@@ -1035,8 +1034,10 @@ class BatchedReplay:
     depends on an input and that an output reads is computed once for the
     stack by its `_FORWARD` entry and recorded `extra`; no op mixes tasks,
     so each task's slice holds the bits `Tape.replay` computes for it
-    alone.  The other nodes keep their recorded values.  A node that would
-    mix tasks or fix their count (see `_stack_error`) is rejected here.
+    alone.  Of the recorded values, the plan keeps only those of the nodes
+    the steps read and do not compute, and the inputs', for their shapes.
+    A node that would mix tasks or fix their count (see `_stack_error`) is
+    rejected here.
     Each stacked value is dropped after its last reader, so a call keeps
     alive only the values still to be read and the stacks at `outputs`,
     which it returns; every output must depend on an input.
@@ -1074,7 +1075,9 @@ class BatchedReplay:
         for p, step in last.items():
             if p in stacked and p not in self.outputs:
                 steps[step][4].append(p)
-        self.values = [node.array for node in nodes]
+        # the recorded values a step reads, and the inputs' for their shapes
+        kept = {p for _, _, _, parents, _ in steps for p in parents if p not in stacked}.union(self.inputs)
+        self.values = [node.array if idx in kept else None for idx, node in enumerate(nodes)]
         self.steps = steps
         self.width = max(nodes[idx].array.size for idx in stacked)
 

@@ -244,32 +244,17 @@ def _adapt_batch(mv: nn.ModelVars, metadata: list, config: MetaConfig) -> Adapte
                   [f"task {i}" for i in range(n)])
 
 
-#: most slices one split of a stacked parameter makes (see `_split`)
-_SPLIT = 4
-
-
-def _split(p: ad.Var, rows: int) -> list:
-    """The tasks of a stacked parameter reshaped to `rows` rows per task,
-    one slice of its rows each, split off `_SPLIT` groups at a time.  A
-    slice's adjoint is zero-padded to its operand's shape, and the walk
-    keeps a Var's adjoints until it sums them: splitting by groups keeps
-    at most `_SPLIT` padded adjoints of a Var alive, not one per task."""
-    n = p.shape[0] // rows
-    if n == 1:
-        return [p]
-    size = -(-n // _SPLIT)
-    groups = [ad.slice_axis(p, 0, i * rows, min(n, i + size) * rows) for i in range(0, n, size)]
-    return [v for group in groups for v in _split(group, rows)]
-
-
 def _task_views(adapted: AdaptedModel) -> list:
     """Each task of a stacked adaptation as a one-task AdaptedModel: every
     stacked parameter, reshaped so that its tasks follow each other on
     the first axis, sliced into the parameter's 2-D shape per task."""
     base = adapted.mv.extractor_params() + adapted.mv.head_params(0)
-    per_task = zip(*[_split(ad.reshape(p, (p.shape[0] * b.shape[0],) + b.shape[1:]), b.shape[0])
-                     for p, b in zip(adapted.extractor + adapted.head, base)])
-    return [AdaptedModel(adapted.mv, list(params[:-2]), list(params[-2:]), []) for params in per_task]
+    sliced = []
+    for p, b in zip(adapted.extractor + adapted.head, base):
+        rows = b.shape[0]
+        flat = ad.reshape(p, (p.shape[0] * rows,) + b.shape[1:])
+        sliced.append([ad.slice_axis(flat, 0, i * rows, (i + 1) * rows) for i in range(p.shape[0])])
+    return [AdaptedModel(adapted.mv, list(params[:-2]), list(params[-2:]), []) for params in zip(*sliced)]
 
 
 def trlearner_loss(adapted_models: list, matrix: rel.RelationMatrix, i: int, x: ad.Var, y: ad.Var) -> ad.Var:

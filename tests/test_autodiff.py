@@ -1,5 +1,7 @@
 import functools
+import importlib.util
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.lib.array_utils import normalize_axis_tuple
 
+import relmeta.harness as hz
 import relmeta.metalearn as ml
 import relmeta.nn as nn
 import relmeta.relation as rel
@@ -16,6 +19,11 @@ import relmeta.tasks as tk
 from relmeta import autodiff as ad
 
 from fd import finite_diff, rel_err
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "memprobe.py"
+_spec = importlib.util.spec_from_file_location("memprobe", TOOL)
+memprobe = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(memprobe)
 
 
 def scalar_mlp_loss(tape, params, x, y):
@@ -1012,10 +1020,20 @@ class TestPrunedWalk:
         finally:
             tracemalloc.stop()
         assert len(grads) == len(objective.tape.leaves) == 37
-        # a recorded outer backward retains 13.9 MB here; the peak (3.89 MB)
+        # a recorded outer backward retains 13.9 MB here; the peak (1.26 MB,
+        # 3.89 MB when the walk kept every contribution until its visit)
         # stays under the 6,144,336 bytes this forward tape held when each
         # tanh layer was two nodes (it holds 3.45 MB with one)
         assert retained < 1e6 and peak < 6_144_336
+
+    def test_walk_memory_grows_linearly_with_the_tasks(self):
+        # the consistency term reads every task's view N times: a walk that
+        # kept each contribution until its visit held 3.5x at twice the
+        # tasks (0.28 -> 0.99 MB), one running sum per node holds 2.1x
+        held = [memprobe.measure(hz.parse_config(overrides={
+            "dataset": "harmonic", "hidden": "40,40", "trlearner": "on", "seed": "0",
+            "batch_tasks": str(n)}))["held"] for n in (4, 8)]
+        assert held[1] <= 2.5 * held[0]
 
     def test_grad_toward_a_constant(self):
         tape = ad.Tape()
@@ -1052,14 +1070,16 @@ class TestPrunedWalk:
         assert visited == [f.index, s.index, x.index]
         assert np.array_equal(gx.array, [2.0, -4.0])
 
-    def test_contributions_sum_in_one_add_n_node(self):
+    def test_contributions_fold_into_one_binary_add_each(self):
         tape = ad.Tape()
         x = tape.leaf([1.0, -2.0])
         before = len(tape)
         f = ad.vsum(ad.add(ad.mul(x, x), x))   # x reached three times
         (gx,) = ad.grad(f, [x])
         added = [n for n in tape.nodes[before:] if n.op == "add"]
-        assert [(n.op, len(n.parents)) for n in added] == [("add", 2), ("add", 3)]
+        # the forward add, then one add per contribution after the first
+        assert [(n.op, len(n.parents)) for n in added] == [("add", 2), ("add", 2), ("add", 2)]
+        assert added[2].parents[0] == tape.nodes.index(added[1])
         assert np.array_equal(gx.array, [3.0, -3.0])
 
     def test_anil_evaluation_records_no_vjp_toward_extractor(self, monkeypatch):
@@ -1224,6 +1244,24 @@ class TestValuesWalk:
         (got,), (want,) = ad.grad(out, [x], record=False), ad.grad(out, [x])
         assert got.tobytes() == want.array.tobytes()
         assert np.array_equal(got, [0.0, 0.0]) and (1e16 + -1e16) + 1.0 == 1.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), k=st.integers(1, 8), shape=hnp.array_shapes(max_dims=2, max_side=3))
+    def test_k_consumers_fold_their_contributions_in_arrival_order(self, data, k, shape):
+        # x * d_k for k consumers, weighted by w: x's adjoint is the left fold
+        # of the contributions w * d_k, which arrive from the last consumer
+        floats = hnp.arrays(np.float64, shape, elements=st.floats(-1e12, 1e12))
+        d = [data.draw(floats) for _ in range(k)]
+        w = data.draw(floats)
+        tape = ad.Tape()
+        x = tape.leaf(np.ones(shape))
+        out = ad.vsum(ad.mul(ad.add_n([ad.mul(x, tape.constant(a)) for a in d]), tape.constant(w)))
+        (got,) = ad.grad(out, [x], record=False)
+        before = len(tape)
+        (want,) = ad.grad(out, [x])
+        fold = functools.reduce(np.add, [w * a for a in reversed(d)])
+        assert got.tobytes() == want.array.tobytes() == fold.tobytes()
+        assert [n.op for n in tape.nodes[before:]].count("add") == k - 1
 
     @settings(max_examples=150, deadline=None)
     @given(steps=CHAIN_STEPS, picks=st.lists(st.integers(0, 99), min_size=1, max_size=4))
