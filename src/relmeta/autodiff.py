@@ -4,12 +4,11 @@ Values are dense float64 tensors.  Every primitive operation appends one
 node to a :class:`Tape`; a node only references lower-indexed nodes, so a
 plain reverse walk implements backpropagation.  Every op other than a leaf
 or a constant is recorded by `_record`, which takes the node's value from
-the op's `_FORWARD` entry, the same function `Tape.replay` calls.  A
-replay given new arrays for some leaves and constants reruns the recorded
-graph on them, bit for bit what recording it afresh would compute, when
-:func:`check_replayable` accepts the graph.  :class:`BatchedReplay` reruns
-a graph recorded for a stack of one task on a stack of T, one `_FORWARD`
-call per node, and gives each task the bits of its own replay.
+the op's `_FORWARD` entry.  :class:`BatchedReplay`, the one replay, reruns
+a graph recorded for a stack of one task on a stack of T with new arrays
+at chosen leaves and constants, one `_FORWARD` call per node.  When
+:func:`check_replayable` accepts the graph, each task's slice holds the
+bits of the graph recorded afresh on that task's data.
 
 Each op's vector-Jacobian product is written once, against the op set it
 is handed.  :func:`grad` records it, so the gradients it returns are tape
@@ -126,39 +125,6 @@ class Tape:
         """Like a leaf but excluded from gradient reports (data, masks)."""
         return self._append("const", (), np.asarray(values, dtype=np.float64))
 
-    def replay(self, inputs=None) -> list[np.ndarray]:
-        """Recompute node values in index order from the leaves and constants.
-
-        `inputs` maps leaf or constant indices to arrays replayed in place of
-        the recorded values, each of its node's recorded shape.
-
-        Replaying is bitwise-deterministic: the same primitive sequence on
-        the same terminal values reproduces the recorded arrays exactly.
-        """
-        nodes = self.nodes
-        inputs = {} if inputs is None else inputs
-        _check_inputs(nodes, inputs)
-        values = []
-        append = values.append
-        for idx, node in enumerate(nodes):
-            if node.parents:
-                append(_FORWARD[node.op]([values[p] for p in node.parents], node.extra))
-            elif idx in inputs:
-                value = np.asarray(inputs[idx], dtype=np.float64)
-                if value.shape != node.array.shape:
-                    raise ShapeError(f"replay: node {idx} holds shape {node.array.shape}, "
-                                     f"got {value.shape}")
-                append(value)
-            else:
-                append(node.array)
-        return values
-
-
-def _check_inputs(nodes: list, inputs) -> None:
-    for idx in inputs:
-        if not 0 <= idx < len(nodes) or nodes[idx].op not in _TERMINAL:
-            raise AutodiffError(f"replay: node {idx} is not a leaf or constant of the tape")
-
 
 def _same_tape(op: str, vars_: tuple) -> Tape:
     if not vars_:
@@ -171,16 +137,12 @@ def _same_tape(op: str, vars_: tuple) -> Tape:
 
 
 # ---------------------------------------------------------------------------
-# forward implementations (shared by record-time eval and tape replay)
+# forward implementations (shared by recording and BatchedReplay)
 
 def _f_add(xs, _):
-    # a left fold; a fresh sum of the full shape takes the next term in place
-    total = xs[0] + xs[1]
+    total = xs[0] + xs[1]  # a left fold
     for x in xs[2:]:
-        if type(total) is np.ndarray and x.shape == total.shape:
-            total += x
-        else:
-            total = total + x
+        total = total + x
     return total
 
 
@@ -1033,9 +995,10 @@ class BatchedReplay:
     node's value for T tasks, (T, ...) for (1, ...).  Every node that
     depends on an input and that an output reads is computed once for the
     stack by its `_FORWARD` entry and recorded `extra`; no op mixes tasks,
-    so each task's slice holds the bits `Tape.replay` computes for it
-    alone.  Of the recorded values, the plan keeps only those of the nodes
-    the steps read and do not compute, and the inputs', for their shapes.
+    so each task's slice holds the bits of the graph recorded afresh on
+    that task's data.  Of the recorded values, the plan keeps only those of
+    the nodes the steps read and do not compute, and the inputs', for their
+    shapes.
     A node that would mix tasks or fix their count (see `_stack_error`) is
     rejected here.
     Each stacked value is dropped after its last reader, so a call keeps
@@ -1052,7 +1015,9 @@ class BatchedReplay:
         nodes = tape.nodes
         self.inputs = tuple(inputs)
         self.outputs = tuple(outputs)
-        _check_inputs(nodes, self.inputs)
+        for idx in self.inputs:
+            if not 0 <= idx < len(nodes) or nodes[idx].op not in _TERMINAL:
+                raise AutodiffError(f"replay: node {idx} is not a leaf or constant of the tape")
         check_replayable(tape, self.inputs)
         read = set(self.outputs)  # the nodes an output reads, directly or not
         for idx in range(max(self.outputs, default=-1), -1, -1):

@@ -177,11 +177,11 @@ ANY_AXIS_CASES = ANY_SHAPE.flatmap(lambda shape: st.tuples(st.just(shape), any_a
 REDUCTIONS = {"sum": (ad.vsum, np.sum), "mean": (ad.mean, np.mean)}
 
 
-def assert_same_value_on_replay(tape, out, want):
-    """`out` and its replayed value have `want`'s type (np.float64 or ndarray) and bits."""
-    for got in (out.array, tape.replay()[out.index]):
-        assert type(got) is type(want) and got.dtype == want.dtype and got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
+def assert_recorded_value(out, want):
+    """`out`'s recorded value has `want`'s type (np.float64 or ndarray) and bits."""
+    got = out.array
+    assert type(got) is type(want) and got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 class TestReductionProperties:
@@ -201,8 +201,7 @@ class TestReductionProperties:
             with pytest.raises(ad.ShapeError, match=f"op '{op}'"):
                 fn(ad.Tape().leaf(a), axis=axis)
             return
-        tape = ad.Tape()
-        assert_same_value_on_replay(tape, fn(tape.leaf(a), axis=axis), want)
+        assert_recorded_value(fn(ad.Tape().leaf(a), axis=axis), want)
 
     @settings(max_examples=100, deadline=None)
     @given(shape=ANY_SHAPE, seed=st.integers(0, 2**32 - 1))
@@ -211,8 +210,8 @@ class TestReductionProperties:
         rng = np.random.default_rng(seed)
         p, y = np.asarray(rng.normal(size=shape)), np.asarray(rng.normal(size=shape))
         tape = ad.Tape()
-        assert_same_value_on_replay(tape, ad.mse(tape.leaf(p), tape.constant(y)),
-                                    np.mean(np.square(p - y), axis=None if len(shape) <= 2 else (-2, -1)))
+        assert_recorded_value(ad.mse(tape.leaf(p), tape.constant(y)),
+                              np.mean(np.square(p - y), axis=None if len(shape) <= 2 else (-2, -1)))
 
     @settings(max_examples=100, deadline=None)
     @given(case=REDUCTION_CASES, op=st.sampled_from(sorted(REDUCTIONS)), seed=st.integers(0, 2**32 - 1))
@@ -377,15 +376,17 @@ class TestBackward:
             assert np.max(np.abs(gc - (a * gf + b * gg))) < 1e-12
 
     def test_replay_determinism(self):
-        rng = np.random.default_rng(3)
-        tape, params, arrs, x, y = make_mlp_case(rng)
-        loss = scalar_mlp_loss(tape, params, x, y)
-        ad.backward(loss)
-        recorded = [n.array for n in tape.nodes]
-        replayed = tape.replay()
-        assert len(recorded) == len(replayed)
-        for a, b in zip(recorded, replayed):
-            assert np.array_equal(a, b)  # bitwise
+        # the loss and its backward recorded on two fresh tapes: the same bytes
+        tapes = []
+        for _ in range(2):
+            tape, params, _, x, y = make_mlp_case(np.random.default_rng(3))
+            ad.backward(scalar_mlp_loss(tape, params, x, y))
+            tapes.append(tape)
+        first, second = tapes
+        assert len(first) == len(second)
+        for a, b in zip(first.nodes, second.nodes):
+            assert a.op == b.op and a.array.shape == b.array.shape
+            assert a.array.tobytes() == b.array.tobytes()
 
     def test_every_primitive_against_fd(self):
         rng = np.random.default_rng(11)
@@ -737,8 +738,6 @@ class TestFusedOpProperties:
         vs = [tape.leaf(a) for a in arrays]
         got, want = fused(vs).array, chain(vs).array
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
-        replayed = tape.replay()
-        assert all(np.array_equal(a, n.array) for a, n in zip(replayed, tape.nodes))
 
     @settings(max_examples=80, deadline=None)
     @given(case=fused_cases(), seed=st.integers(0, 2**32 - 1))
@@ -1279,7 +1278,7 @@ class TestValuesWalk:
 
 
 # ---------------------------------------------------------------------------
-# replay with substituted leaves and constants
+# replaying a recorded graph on new data
 
 
 def two_step_adaptation(x_arr, y_arr):
@@ -1303,40 +1302,6 @@ def two_step_adaptation(x_arr, y_arr):
 
 
 class TestReplay:
-    @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1))
-    def test_substituted_inputs_replay_a_fresh_recording(self, seed):
-        rng = np.random.default_rng(seed)
-        first = [signed_uniform(rng, (5, 1)) * 3.0 for _ in range(2)]
-        second = [signed_uniform(rng, (5, 1)) * 3.0 for _ in range(2)]
-        tape, x, y, losses, _ = two_step_adaptation(*first)
-        fresh = two_step_adaptation(*second)[0]
-        inputs = {x.index: second[0], y.index: second[1]}
-        ad.check_replayable(tape, inputs)
-        assert len(fresh) == len(tape)
-        want = [n.array.tobytes() for n in fresh.nodes]
-        assert [v.tobytes() for v in tape.replay(inputs)] == want
-
-    def test_rejects_non_terminal_indices_and_wrong_shapes(self):
-        tape, x, y, losses, loss = two_step_adaptation(np.ones((5, 1)), np.zeros((5, 1)))
-        for idx in (loss.index, losses[0].index, len(tape), -1):
-            with pytest.raises(ad.AutodiffError, match="not a leaf or constant"):
-                tape.replay({idx: np.ones(())})
-        with pytest.raises(ad.ShapeError, match=r"\(5, 1\)"):
-            tape.replay({x.index: np.ones((4, 1))})
-        with pytest.raises(ad.ShapeError):
-            tape.replay({y.index: np.ones(5)})
-        # a leaf may be substituted too; the recorded tape is left as it was
-        got = tape.replay({tape.leaves[0]: np.zeros((1, 6))})
-        assert not np.array_equal(got[loss.index], loss.array)
-        assert [v.tobytes() for v in tape.replay()] == [n.array.tobytes() for n in tape.nodes]
-
-    def test_no_argument_replay_returns_the_recorded_values(self):
-        tape, *_ = two_step_adaptation(np.ones((5, 1)), np.zeros((5, 1)))
-        for got in (tape.replay(), tape.replay({})):
-            assert len(got) == len(tape)
-            assert all(a.tobytes() == n.array.tobytes() for a, n in zip(got, tape.nodes))
-
     def test_graphs_holding_recorded_values_are_not_replayable(self):
         tape, x, y, _, _ = two_step_adaptation(np.ones((5, 1)), np.zeros((5, 1)))
         ad.check_replayable(tape, [x.index, y.index])
@@ -1354,16 +1319,19 @@ class TestReplay:
                 ad.check_replayable(t, [])
 
 
-def stacked_case(rng, n, m):
+def stacked_case(x_arr, y_arr, seed):
     """A graph of every op kind a batched replay computes, recorded for a
-    stack of one task on two (1, n, m) constants: reductions over each axis
-    past the task axis, with and without their summed axes kept, shared 2-D
-    weights and biases, transposed products, and recorded gradient steps
-    toward per-task parameter copies, one with MetaSGD's shared 2-D rates."""
+    stack of one task on the (1, n, m) constants x, y, with weights drawn
+    from `seed`: reductions over each axis past the task axis, with and
+    without their summed axes kept, shared 2-D weights and biases,
+    transposed products, and recorded gradient steps toward per-task
+    parameter copies, one with MetaSGD's shared 2-D rates."""
+    _, n, m = np.shape(x_arr)
+    rng = np.random.default_rng(seed)
     tape = ad.Tape()
     w, b = tape.leaf(rng.normal(size=(m, m))), tape.leaf(rng.normal(size=(m,)))
     rw, rb = (tape.leaf(rng.uniform(0.5, 1.5, size=s)) for s in [(m, m), (m,)])
-    x, y = tape.constant(np.zeros((1, n, m))), tape.constant(np.zeros((1, n, m)))
+    x, y = tape.constant(x_arr), tape.constant(y_arr)
     h = ad.affine_tanh(ad.smul(x, 1.5), w, b)
     s1, s2 = ad.vsum(h, axis=1), ad.vsum(h, axis=2, keepdims=True)  # (1, m), (1, n, 1)
     s12 = ad.vsum(h, axis=(1, 2), keepdims=True)
@@ -1384,40 +1352,43 @@ def stacked_case(rng, n, m):
 
 
 class TestBatchedReplay:
-    """A stack of tasks replayed at once carries each task's own replay bits."""
+    """A stack of tasks replayed at once carries, in each task's slice, the
+    bits of the graph recorded afresh on that task's data."""
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), m=st.integers(1, 5),
            tasks=st.integers(1, 5))
     def test_each_slice_is_the_task_replayed_alone(self, seed, n, m, tasks):
         rng = np.random.default_rng(seed)
-        tape, inputs, outputs = stacked_case(rng, n, m)
-        stacks = [rng.normal(size=(tasks, n, m)) for _ in inputs]
+        stacks = [rng.normal(size=(tasks, n, m)) for _ in range(2)]
+        tape, inputs, outputs = stacked_case(np.zeros((1, n, m)), np.zeros((1, n, m)), seed)
         got = ad.BatchedReplay(tape, inputs, [v.index for v in outputs])(stacks)
         for t in range(tasks):
-            alone = tape.replay({idx: stack[t:t + 1] for idx, stack in zip(inputs, stacks)})
-            for v, stacked in zip(outputs, got):
+            _, _, alone = stacked_case(*(stack[t:t + 1] for stack in stacks), seed)
+            for v, stacked in zip(alone, got):
                 assert stacked.shape == (tasks,) + v.shape[1:]
-                assert stacked[t:t + 1].tobytes() == alone[v.index].tobytes()
+                assert stacked[t:t + 1].tobytes() == v.array.tobytes()
 
     def test_a_recorded_adaptation_replays_on_every_task(self):
-        # each slice: the stack of one replayed on that task, and the bits
-        # of the 2-D adaptation recorded afresh on it
+        # each slice: the bits of the stack of one and of the 2-D adaptation,
+        # each recorded afresh on that task's data
         tape, x, y, losses, loss = two_step_adaptation(np.ones((1, 5, 1)), np.zeros((1, 5, 1)))
         rng = np.random.default_rng(0)
         xs, ys = rng.normal(size=(4, 5, 1)), rng.normal(size=(4, 5, 1))
         outputs = [lv.index for lv in losses] + [loss.index]
         got = ad.BatchedReplay(tape, (x.index, y.index), outputs)([xs, ys])
         for t in range(4):
-            alone = tape.replay({x.index: xs[t:t + 1], y.index: ys[t:t + 1]})
-            assert [v[t:t + 1].tobytes() for v in got] == [alone[i].tobytes() for i in outputs]
+            _, _, _, fresh_losses, fresh_loss = two_step_adaptation(xs[t:t + 1], ys[t:t + 1])
+            want = [v.array.tobytes() for v in fresh_losses + [fresh_loss]]
+            assert [v[t:t + 1].tobytes() for v in got] == want
             _, _, _, flat_losses, flat_loss = two_step_adaptation(xs[t], ys[t])
             assert [v[t].tobytes() for v in got] == [v.array.tobytes() for v in flat_losses + [flat_loss]]
 
     def test_rejects_what_it_cannot_stack(self):
         tape, x, y, losses, loss = two_step_adaptation(np.ones((1, 5, 1)), np.zeros((1, 5, 1)))
-        with pytest.raises(ad.AutodiffError, match="not a leaf or constant"):
-            ad.BatchedReplay(tape, [loss.index], [loss.index])
+        for idx in (loss.index, losses[0].index, len(tape), -1):
+            with pytest.raises(ad.AutodiffError, match="not a leaf or constant"):
+                ad.BatchedReplay(tape, [x.index, y.index, idx], [loss.index])
         with pytest.raises(ad.AutodiffError, match="a replay cannot recompute"):
             ad.BatchedReplay(tape, [x.index], [loss.index])  # y stays a recorded data array
         with pytest.raises(ad.AutodiffError, match="depends on no input"):
@@ -1429,6 +1400,10 @@ class TestBatchedReplay:
             replay([np.ones((2, 5, 1)), np.ones((3, 5, 1))])  # unequal task counts
         with pytest.raises(ad.AutodiffError, match="2 input stacks"):
             replay([np.ones((2, 5, 1))])
+        # a call leaves the recorded tape as it was
+        recorded = [n.array.tobytes() for n in tape.nodes]
+        replay([np.full((3, 5, 1), 2.0), np.ones((3, 5, 1))])
+        assert [n.array.tobytes() for n in tape.nodes] == recorded
         flat, fx, fy, _, flat_loss = two_step_adaptation(np.ones((5, 1)), np.zeros((5, 1)))
         with pytest.raises(ad.AutodiffError, match="no leading task axis"):
             ad.BatchedReplay(flat, [fx.index, fy.index], [flat_loss.index])

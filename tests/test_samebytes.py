@@ -1,0 +1,21 @@
+"""The byte comparison of two checkouts' run artifacts."""
+
+import importlib.util
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "samebytes.py"
+_spec = importlib.util.spec_from_file_location("samebytes", TOOL)
+samebytes = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(samebytes)
+
+
+def test_identical_files_exit_0_and_one_changed_byte_exits_1(tmp_path, capsys):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    for d in (parent, change):
+        d.mkdir()
+        (d / "results.csv").write_bytes(b"seed,mse_mean\n5,3.5125\n")
+        (d / "log.jsonl").write_bytes(b'{"epoch": 0, "val_mse": 1.25}\n')
+    assert samebytes.compare(parent, change) == 0
+    (change / "log.jsonl").write_bytes(b'{"epoch": 0, "val_mse": 1.26}\n')
+    assert samebytes.compare(parent, change) == 1
+    assert "log.jsonl" in capsys.readouterr().out
