@@ -1302,6 +1302,21 @@ def two_step_adaptation(x_arr, y_arr):
 
 
 class TestReplay:
+    def test_rejects_non_terminal_indices_and_wrong_shapes(self):
+        tape, x, y, losses, loss = two_step_adaptation(np.ones((1, 5, 1)), np.zeros((1, 5, 1)))
+        for idx in (loss.index, losses[0].index, len(tape), -1):
+            with pytest.raises(ad.AutodiffError, match="not a leaf or constant"):
+                ad.BatchedReplay(tape, [x.index, y.index, idx], [loss.index])
+        replay = ad.BatchedReplay(tape, [x.index, y.index], [loss.index])
+        with pytest.raises(ad.ShapeError, match=r"\(1, 5, 1\)"):
+            replay([np.ones((3, 4, 1)), np.ones((3, 5, 1))])
+        with pytest.raises(ad.ShapeError):
+            replay([np.ones((3, 5, 1)), np.ones((3, 5))])
+        # a call leaves the recorded tape as it was
+        recorded = [n.array.tobytes() for n in tape.nodes]
+        replay([np.full((3, 5, 1), 2.0), np.ones((3, 5, 1))])
+        assert [n.array.tobytes() for n in tape.nodes] == recorded
+
     def test_graphs_holding_recorded_values_are_not_replayable(self):
         tape, x, y, _, _ = two_step_adaptation(np.ones((5, 1)), np.zeros((5, 1)))
         ad.check_replayable(tape, [x.index, y.index])
@@ -1386,9 +1401,8 @@ class TestBatchedReplay:
 
     def test_rejects_what_it_cannot_stack(self):
         tape, x, y, losses, loss = two_step_adaptation(np.ones((1, 5, 1)), np.zeros((1, 5, 1)))
-        for idx in (loss.index, losses[0].index, len(tape), -1):
-            with pytest.raises(ad.AutodiffError, match="not a leaf or constant"):
-                ad.BatchedReplay(tape, [x.index, y.index, idx], [loss.index])
+        with pytest.raises(ad.AutodiffError, match="not a leaf or constant"):
+            ad.BatchedReplay(tape, [loss.index], [loss.index])
         with pytest.raises(ad.AutodiffError, match="a replay cannot recompute"):
             ad.BatchedReplay(tape, [x.index], [loss.index])  # y stays a recorded data array
         with pytest.raises(ad.AutodiffError, match="depends on no input"):
@@ -1400,10 +1414,6 @@ class TestBatchedReplay:
             replay([np.ones((2, 5, 1)), np.ones((3, 5, 1))])  # unequal task counts
         with pytest.raises(ad.AutodiffError, match="2 input stacks"):
             replay([np.ones((2, 5, 1))])
-        # a call leaves the recorded tape as it was
-        recorded = [n.array.tobytes() for n in tape.nodes]
-        replay([np.full((3, 5, 1), 2.0), np.ones((3, 5, 1))])
-        assert [n.array.tobytes() for n in tape.nodes] == recorded
         flat, fx, fy, _, flat_loss = two_step_adaptation(np.ones((5, 1)), np.zeros((5, 1)))
         with pytest.raises(ad.AutodiffError, match="no leading task axis"):
             ad.BatchedReplay(flat, [fx.index, fy.index], [flat_loss.index])
