@@ -195,20 +195,16 @@ def _count(axis, shape) -> int:
 
 
 def _f_mse(xs, _):
-    # one loss per task over the last two axes; a 2-D operand is one task
+    # one loss per task over the last two axes, kept as axes of length 1; a
+    # 2-D operand is one task, with a 0-d loss
     d = xs[0] - xs[1]
-    return np.add.reduce(np.square(d), axis=None if d.ndim <= 2 else (-2, -1)) / math.prod(d.shape[-2:])
-
-
-def _per_task(shape: tuple, ndim: int) -> tuple:
-    """A per-task shape (an mse's) padded to broadcast over `ndim` axes."""
-    return shape + (1,) * (ndim - len(shape))
+    stacked = d.ndim > 2
+    return (np.add.reduce(np.square(d), axis=(-2, -1) if stacked else None, keepdims=stacked)
+            / math.prod(d.shape[-2:]))
 
 
 def _f_mse_grad(xs, c):
     g, p, y = xs
-    if 0 < g.ndim < p.ndim:  # one adjoint per task of a stack
-        g = g.reshape(_per_task(g.shape, p.ndim))
     return (g * c) * ((p - y) * 2.0)
 
 
@@ -426,7 +422,8 @@ def _check_affine(op: str, h: Var, w: Var, b: Var) -> None:
 
 def mse(pred: Var, y: Var) -> Var:
     """mean((pred - y)^2) over equal-shaped operands' last two axes: a
-    scalar for 2-D operands, one loss per task for a stack of them."""
+    scalar for 2-D operands; a stack of them, (..., k, m), has one loss
+    per task, (..., 1, 1), which keeps the stack's rank."""
     if pred.shape != y.shape:
         raise ShapeError(f"op 'mse': shapes {pred.shape} and {y.shape} differ")
     return _record("mse", (pred, y))
@@ -643,14 +640,10 @@ def _v_mse_grad(ops, out, ins, h, c, need):
     # follow the steps of the mean(square(sub)) chain this op replaces, so
     # second order keeps its bits
     g, p, y = ins
-    lifted = _per_task(g.shape, len(p.shape))
     gg = gp = gy = None
     if need[0]:
-        summed = _unbroadcast(ops, ops.smul(ops.mul(h, ops.smul(ops.sub(p, y), 2.0)), c), lifted)
-        gg = ops.reshape(summed, g.shape)
+        gg = _unbroadcast(ops, ops.smul(ops.mul(h, ops.smul(ops.sub(p, y), 2.0)), c), g.shape)
     if need[1] or need[2]:
-        if g.shape and g.shape != lifted:
-            g = ops.reshape(g, lifted)
         gp = ops.smul(ops.mul(h, ops.smul(g, c)), 2.0)
         gy = ops.smul(gp, -1.0) if need[2] else None
     return (gg, gp if need[1] else None, gy)
@@ -981,10 +974,10 @@ def _stack_error(node: Node, nodes: list, stacked: set):
     if op in ("matmul", "affine", "affine-tanh") and len(shape) < 3:
         return "multiplies over the task axis"
     # a stacked operand of another rank would broadcast its task axis onto
-    # another axis; reductions, a per-task loss and its adjoint keep it first
-    operands = node.parents[1:] if op == "mse-grad" else node.parents
-    ranks = {nodes[p].array.ndim for p in operands if p in stacked}
-    if op not in ("sum", "mean", "mse") and ranks - {len(shape)}:
+    # another axis; reductions keep it first, and a per-task value (an
+    # mse's, its adjoint's) keeps the stack's rank
+    ranks = {nodes[p].array.ndim for p in node.parents if p in stacked}
+    if op not in ("sum", "mean") and ranks - {len(shape)}:
         return "broadcasts a stacked operand's task axis onto another axis"
 
 

@@ -17,9 +17,10 @@ heads of slots 0..N-1 and the support sets stacked, and one
 `broadcast_to` copy of the extractor per task; each task's slice holds
 the bits of its own 2-D `inner_adapt`.  The plain arm scores the N query
 sets in one stacked chain.  The TRLearner arm scores each (adapted
-model, query set) pair through one-task views of the stack (`reshape`
-and `slice_axis`), one `AdaptedModel.predict` per pair.  Both arms sum the
-per-task terms in one reduction.
+model, query set) pair through one-task views of the stack, each a stack
+of one cut out by `slice_axis`, one `AdaptedModel.predict` per pair.  A
+per-task loss keeps the stack's rank, (N, 1, 1) or (1, 1, 1) for a view;
+both arms sum the per-task terms in one reduction.
 Task heads are re-initialized to zero at the start of every meta-batch
 by the training loop: head i belongs to batch slot i, and a fresh batch
 carries fresh tasks.
@@ -131,8 +132,9 @@ class MetaConfig:
 class AdaptedModel:
     """Task-specialized parameters, still connected to the base leaves, and
     the support loss Var of each step that produced them.  Parameters of a
-    stack of tasks carry a leading task axis; a one-task view of a stack
-    (see `_task_views`) holds no losses."""
+    stack of tasks carry a leading task axis, and so do its (N, 1, 1) step
+    losses; a one-task view of a stack (see `_task_views`) is a stack of
+    one and holds no losses."""
 
     __slots__ = ("mv", "extractor", "head", "losses")
 
@@ -148,7 +150,8 @@ class AdaptedModel:
 
 
 def task_loss(predictions: ad.Var, targets: ad.Var) -> ad.Var:
-    """Mean squared error over a (n, 1) prediction/target batch."""
+    """Mean squared error over a (n, 1) prediction/target batch: 0-d, or
+    (..., 1, 1) for a stack of batches, one loss per task (see `ad.mse`)."""
     if predictions.shape != targets.shape:
         raise MetaLearnError(f"prediction shape {predictions.shape} != target shape {targets.shape}")
     if predictions.array.size == 0:
@@ -178,7 +181,7 @@ def _adapt(mv: nn.ModelVars, head: list, x: ad.Var, y: ad.Var, config: MetaConfi
     (N, 1, 1) heads, (N, k, ·) support arrays; only `inner_adapt` adapts a
     2-D head.  Each task of a stack reads its own copy of the extractor,
     one `broadcast_to` per parameter, and the inner gradient is seeded by
-    the vector of per-task losses; no op mixes tasks, so each task gets the
+    the (N, 1, 1) per-task losses; no op mixes tasks, so each task gets the
     bits of its own 2-D adaptation, and the outer gradient sums the tasks'
     extractor adjoints in one reduction.
 
@@ -245,15 +248,11 @@ def _adapt_batch(mv: nn.ModelVars, metadata: list, config: MetaConfig) -> Adapte
 
 
 def _task_views(adapted: AdaptedModel) -> list:
-    """Each task of a stacked adaptation as a one-task AdaptedModel: every
-    stacked parameter, reshaped so that its tasks follow each other on
-    the first axis, sliced into the parameter's 2-D shape per task."""
-    base = adapted.mv.extractor_params() + adapted.mv.head_params(0)
-    sliced = []
-    for p, b in zip(adapted.extractor + adapted.head, base):
-        rows = b.shape[0]
-        flat = ad.reshape(p, (p.shape[0] * rows,) + b.shape[1:])
-        sliced.append([ad.slice_axis(flat, 0, i * rows, (i + 1) * rows) for i in range(p.shape[0])])
+    """Each task of a stacked adaptation as an AdaptedModel of a stack of
+    one: task i's slice `[i:i + 1]` of every stacked parameter, recorded
+    parameter by parameter."""
+    sliced = [[ad.slice_axis(p, 0, i, i + 1) for i in range(p.shape[0])]
+              for p in adapted.extractor + adapted.head]
     return [AdaptedModel(adapted.mv, list(params[:-2]), list(params[-2:]), []) for params in zip(*sliced)]
 
 
@@ -365,18 +364,18 @@ def _record_batch(model: nn.MetaModel, layer, batch: tk.TaskBatch, config: MetaC
     if matrix is None:
         x, y = (tape.constant(_stack(batch.metadata, key)) for key in ("query_x", "query_y"))
         terms = task_loss(adapted.predict(x), y)
-        query_losses, tr_losses = terms.array.tolist(), None
+        query_losses, tr_losses = terms.array.ravel().tolist(), None
     else:
         views = _task_views(adapted)
         query_losses, tr_losses, terms = [], [], []
         for i, md in enumerate(batch.metadata):
-            x = tape.constant(md.query_x)
-            y = tape.constant(md.query_y)
+            x = tape.constant(md.query_x[None])
+            y = tape.constant(md.query_y[None])
             lq = task_loss(views[i].predict(x), y)
             ltr = trlearner_loss(views, matrix, i, x, y)
-            query_losses.append(float(lq.array))
-            tr_losses.append(float(ltr.array))
-            terms.append(ad.reshape(ad.add(lq, ad.smul(ltr, config.lam)), (1,)))
+            query_losses.append(lq.array.item())
+            tr_losses.append(ltr.array.item())
+            terms.append(ad.add(lq, ad.smul(ltr, config.lam)))
         terms = ad.concat(terms)
     # one reduction over the per-task terms in both arms: numpy sums 8 or
     # more of them pairwise, so lam=0 keeps the plain arm's order and bits
@@ -491,8 +490,8 @@ class _EvalChunks:
         with np.errstate(over="ignore", invalid="ignore"):
             read = slice(4 - len(replay.inputs), 4)  # no support set without a step
             *steps, query = replay([np.stack(data) for data in zip(*(self.arrays[j][read] for j in chunk))])
-            inner = np.isfinite(np.stack(steps)).all(axis=0) if steps else np.ones(len(chunk), bool)
-        for j, ok, q in zip(chunk, inner.tolist(), query.tolist()):
+            inner = np.isfinite(np.stack(steps)).all(axis=0).ravel() if steps else np.ones(len(chunk), bool)
+        for j, ok, q in zip(chunk, inner.tolist(), query.ravel().tolist()):
             self.outcomes[j] = (q if ok and math.isfinite(q) else
                                 f"non-finite {'query' if ok else 'inner'} loss for {_EVAL_TASK}")
 

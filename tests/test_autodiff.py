@@ -206,12 +206,14 @@ class TestReductionProperties:
     @settings(max_examples=100, deadline=None)
     @given(shape=ANY_SHAPE, seed=st.integers(0, 2**32 - 1))
     def test_mse_matches_numpy_bitwise(self, shape, seed):
-        # the mean over the last two axes: one loss per task of a 3-D stack
+        # the mean over the last two axes: one loss per task of a 3-D stack,
+        # (..., 1, 1), which keeps the stack's rank
         rng = np.random.default_rng(seed)
         p, y = np.asarray(rng.normal(size=shape)), np.asarray(rng.normal(size=shape))
         tape = ad.Tape()
+        stacked = len(shape) > 2
         assert_recorded_value(ad.mse(tape.leaf(p), tape.constant(y)),
-                              np.mean(np.square(p - y), axis=None if len(shape) <= 2 else (-2, -1)))
+                              np.mean(np.square(p - y), axis=(-2, -1) if stacked else None, keepdims=stacked))
 
     @settings(max_examples=100, deadline=None)
     @given(case=REDUCTION_CASES, op=st.sampled_from(sorted(REDUCTIONS)), seed=st.integers(0, 2**32 - 1))
@@ -664,9 +666,9 @@ def fused_cases(draw):
             return (kind, shapes, lambda vs: ad.affine(*vs), lambda vs: ad.add(ad.matmul(vs[0], vs[1]), vs[2]))
         return (kind, shapes, lambda vs: ad.affine_tanh(*vs),
                 lambda vs: ad.tanh(ad.add(ad.matmul(vs[0], vs[1]), vs[2])))
-    if kind == "mse-tasks":  # one loss per task
+    if kind == "mse-tasks":  # one loss per task, (t, 1, 1)
         return (kind, [(t, n, m)] * 2, lambda vs: ad.mse(*vs),
-                lambda vs: ad.mean(ad.square(ad.sub(vs[0], vs[1])), axis=(1, 2)))
+                lambda vs: ad.reshape(ad.mean(ad.square(ad.sub(vs[0], vs[1])), axis=(1, 2)), (t, 1, 1)))
     if kind == "sgd-step-tasks":  # 2-D rates every task shares, as MetaSGD's
         return (kind, [(t, n, m), (t, n, m), (n, m)],
                 lambda vs: ad.grad_through_update([vs[0]], [ad.sin(vs[1])], rates=[vs[2]])[0],
@@ -823,12 +825,36 @@ class TestFusedOpProperties:
         # one adjoint per task, so the recording fixes no task count
         rng = np.random.default_rng(3)
         tape = ad.Tape()
-        h, w, b = (tape.leaf(rng.normal(size=s)) for s in [(3, 5, 2), (3, 2, 4), (3, 1, 4)])
-        loss = ad.mse(ad.affine(h, w, b), tape.constant(rng.normal(size=(3, 5, 4))))
+        arrays = [rng.normal(size=s) for s in [(3, 5, 2), (3, 2, 4), (3, 1, 4), (3, 5, 4)]]
+        h, w, b = (tape.leaf(a) for a in arrays[:3])
+        loss = ad.mse(ad.affine(h, w, b), tape.constant(arrays[3]))
         before = len(tape)
         (gb,) = ad.grad(loss, [b])
         assert [n.op for n in tape.nodes[before:]] == ["const", "mse-grad", "sum"]
         assert tape.nodes[gb.index].extra == ((1,), (3, 5, 4), True) and gb.shape == (3, 1, 4)
+
+        # second order through the stacked mse-grad: weights s on the
+        # per-task losses put its adjoint g on s's path, so the walk builds
+        # g's own adjoint; each task's slice holds the bits of its 2-D graph,
+        # in the recorded walk and the values walk
+        arrays += [rng.normal(size=(3, 1, 1)), rng.normal(size=(3, 2, 4))]
+
+        def second_order(h, w, b, y, s, d, record):
+            t = ad.Tape()
+            h, w, b, s = (t.leaf(a) for a in (h, w, b, s))
+            loss = ad.vsum(ad.mul(ad.mse(ad.affine(h, w, b), t.constant(y)), s))
+            (gw,) = ad.grad(loss, [w])
+            grads = ad.grad(ad.vsum(ad.mul(gw, t.constant(d))), [s, w], record=record)
+            kinds = [n.op for n in t.nodes]
+            return [g.array if record else g for g in grads], kinds
+
+        for record in (True, False):
+            stacked, kinds = second_order(*arrays, record)
+            assert [g.shape for g in stacked] == [(3, 1, 1), (3, 2, 4)]
+            assert "mse-grad" in kinds
+            for i in range(3):
+                alone, _ = second_order(*(a[i] for a in arrays), record)
+                assert [g[i].tobytes() for g in stacked] == [g.tobytes() for g in alone]
 
 
 # ---------------------------------------------------------------------------
@@ -1011,6 +1037,10 @@ class TestPrunedWalk:
         source = tk.TaskSource("harmonic", 10, 15, seed=0)
         batch = tk.make_task_batch(source.train_batch(0, 0, 16), seed=(0, 4, 0, 0))
         objective = ml._record_batch(model, layer, batch, config)[2]
+        # the only reshapes: one per omega mask (K=4), then the two head
+        # stacks; each task's view is a slice of a stacked parameter
+        nodes = objective.tape.nodes
+        assert [nodes[n.parents[0]].op for n in nodes if n.op == "reshape"] == ["slice"] * 4 + ["concat"] * 2
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -1019,7 +1049,7 @@ class TestPrunedWalk:
         finally:
             tracemalloc.stop()
         assert len(grads) == len(objective.tape.leaves) == 37
-        # a recorded outer backward retains 13.9 MB here; the peak (1.26 MB,
+        # a recorded outer backward retains 13.9 MB here; the peak (1.29 MB,
         # 3.89 MB when the walk kept every contribution until its visit)
         # stays under the 6,144,336 bytes this forward tape held when each
         # tanh layer was two nodes (it holds 3.45 MB with one)

@@ -409,14 +409,18 @@ class TestOuterStep:
         assert m["query_mse"] == pytest.approx(np.mean(m["per_task"]))
 
     def test_query_sets_recorded_once_per_task(self):
-        # the query loss and the consistency term share one constant each
+        # each task's query x and y are one (1, q, 1) constant each, a stack
+        # of one, which its query loss and its consistency term share: x is
+        # read by all N models' first layers, y by the two losses
         config = small_config()
         model, layer, source = build(config)
         batch = first_batch(source, config)
-        tape = ml._record_batch(model, layer, batch, config)[2].tape
-        consts = [node.array for node in tape.nodes if node.op == "const"]
+        nodes = ml._record_batch(model, layer, batch, config)[2].tape.nodes
         for md in batch.metadata:
-            assert [sum(a is arr for a in consts) for arr in (md.query_x, md.query_y)] == [1, 1]
+            for arr, reader, count in ((md.query_x, "affine-tanh", len(batch)), (md.query_y, "mse", 2)):
+                (idx,) = [i for i, node in enumerate(nodes) if node.op == "const"
+                          and node.array.shape == (1,) + arr.shape and np.array_equal(node.array[0], arr)]
+                assert [node.op for node in nodes if idx in node.parents] == [reader] * count
 
     @pytest.mark.parametrize("family", ["sinusoid", "harmonic"])
     def test_support_sets_recorded_once_by_each_phase(self, family):
@@ -485,7 +489,7 @@ class TestStackedAdaptation:
                 assert got.tobytes() == a.array.tobytes()
             assert len(stacked.losses) == len(alone.losses) == steps
             for s, a in zip(stacked.losses, alone.losses):
-                assert s.shape == (n,) and s.array[i].tobytes() == np.float64(a.array).tobytes()
+                assert s.shape == (n, 1, 1) and s.array[i].tobytes() == np.float64(a.array).tobytes()
 
 
 class TestTapeLifetime:

@@ -6,9 +6,11 @@ For each workload in `perfbench/workloads.py` and each round `r` below
 `--rounds`, the tool runs `harness.run_benchmark` on
 `workloads.overrides(workload, seed, r, out)` once in each checkout, in a
 subprocess with that checkout's `src` first on the path.  It then compares
-the two runs' `results.csv` and `log.jsonl` byte for byte, and exits 1
-naming the first file that differs or is missing, or 0 when every file
-is the same.  The runs write to a temporary directory.
+the two runs' `results.csv`, `log.jsonl`, `summary.txt` and `config.txt`
+byte for byte, leaving out the `out=` line of `config.txt`, which names
+each run's own directory.  It exits 1 naming the first file that differs
+or is missing, or 0 when every file is the same.  The runs write to a
+temporary directory.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ sys.path.insert(0, str(ROOT))
 from perfbench import workloads  # noqa: E402
 
 SIDES = ("parent", "change")
-COMPARED = ("results.csv", "log.jsonl")
+COMPARED = ("results.csv", "log.jsonl", "summary.txt", "config.txt")
 
 # argv: the checkout's src directory, then the overrides as JSON
 _RUN = ("import json, sys; sys.path.insert(0, sys.argv[1]); from relmeta import harness; "
@@ -40,12 +42,20 @@ def run_round(checkout: Path, workload: str, seed: int, round_index: int, out: P
     return subprocess.run(cmd, cwd=checkout).returncode
 
 
+def artifact_bytes(path: Path) -> bytes:
+    """The file's bytes; for `config.txt`, without its `out=` line."""
+    data = path.read_bytes()
+    if path.name == "config.txt":
+        data = b"".join(line for line in data.splitlines(keepends=True) if not line.startswith(b"out="))
+    return data
+
+
 def compare(parent: Path, change: Path) -> int:
     """0 when both directories hold every compared file with the same bytes,
     else 1, after printing the first file that differs or is missing."""
     for name in COMPARED:
         a, b = parent / name, change / name
-        if not (a.exists() and b.exists() and a.read_bytes() == b.read_bytes()):
+        if not (a.exists() and b.exists() and artifact_bytes(a) == artifact_bytes(b)):
             print(f"differs: {a} and {b}")
             return 1
     return 0
